@@ -27,7 +27,8 @@
 //	-minimize-firings n  firings per minimization probe (0 = use -firings)
 //	-checkpoints n checkpoints retained per probe machine for warm starts
 //	               during -minimize (0 disables warm-starting; default 8)
-//	-parallel n    worker goroutines for the sweep (0 = GOMAXPROCS)
+//	-parallel n    worker goroutines for minimisation probes and the
+//	               degradation sweep (0 = GOMAXPROCS)
 //	-workers list  comma-separated vrdfserve base URLs to shard the -sweep
 //	               across (distributed coordinator; failed or dead workers
 //	               degrade to local computation, results are identical)
@@ -87,7 +88,7 @@ func run(args []string, out io.Writer) error {
 	minimizeFlag := fs.Bool("minimize", false, "search the empirically minimal capacities that still satisfy the constraint (simulation-based)")
 	minimizeFirings := fs.Int64("minimize-firings", 0, "firings of the constrained task per minimization probe (0 = use -firings)")
 	checkpointsN := fs.Int("checkpoints", 8, "checkpoints retained per probe machine for warm-started -minimize probes (0 = cold resets only)")
-	parallelN := fs.Int("parallel", 0, "worker goroutines for the period sweep (0 = GOMAXPROCS, 1 = serial)")
+	parallelN := fs.Int("parallel", 0, "worker goroutines for minimisation probes and the degradation sweep (0 = GOMAXPROCS, 1 = serial)")
 	workersStr := fs.String("workers", "", "comma-separated remote vrdfserve base URLs to shard the -sweep across")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
@@ -172,7 +173,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{
-			Parallel:      *parallelN,
 			Workers:       splitWorkers(*workersStr),
 			DispatchStats: dispatchStats,
 			Deadline:      deadline,

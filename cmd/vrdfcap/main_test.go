@@ -450,7 +450,10 @@ func TestRunNoCacheDisablesCaching(t *testing.T) {
 	}
 }
 
-func TestRunSweepCacheDirPersists(t *testing.T) {
+// TestRunSweepCacheDirUntouched pins that a local -sweep leaves the
+// verdict store alone: the closed form answers every period, so a sweep
+// writes no cache file under -cache-dir, and a rerun prints the same curve.
+func TestRunSweepCacheDirUntouched(t *testing.T) {
 	path := writeMP3JSON(t, true)
 	dir := t.TempDir()
 	sweep := "1/44100,1/40000,1/30000"
@@ -459,21 +462,17 @@ func TestRunSweepCacheDirPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("sweep wrote %d cache files (%v), want 1", len(files), err)
+	if err != nil || len(files) != 0 {
+		t.Fatalf("sweep wrote %d cache files (%v), want none", len(files), err)
 	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"periods"`) {
-		t.Errorf("cache file has no period verdicts:\n%s", data)
+	if !strings.Contains(cold.String(), "τ=1/44100      total capacity 10161") {
+		t.Errorf("sweep output lacks the §5 point:\n%s", cold.String())
 	}
 	if err := run([]string{"-sweep", sweep, "-cache-dir", dir, path}, &warm); err != nil {
 		t.Fatal(err)
 	}
 	if cold.String() != warm.String() {
-		t.Errorf("warm sweep output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s",
+		t.Errorf("second sweep output differs from the first:\n--- first ---\n%s\n--- second ---\n%s",
 			cold.String(), warm.String())
 	}
 }

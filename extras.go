@@ -17,7 +17,8 @@ type (
 	ChainSchedule = capacity.ChainSchedule
 	// SweepPoint is one point of a throughput/buffer trade-off curve.
 	SweepPoint = capacity.SweepPoint
-	// SweepOptions tunes the worker count of SweepPeriodsOpt.
+	// SweepOptions tunes SweepPeriodsOpt: cancellation, deadline and
+	// remote workers.
 	SweepOptions = capacity.SweepOptions
 
 	// TDM and RoundRobin derive worst-case response times κ from
@@ -58,15 +59,15 @@ func SweepPeriods(g *Graph, task string, periods []RatNum, p Policy) ([]SweepPoi
 	return capacity.SweepPeriods(g, task, periods, p)
 }
 
-// SweepPeriodsOpt is SweepPeriods with explicit options: Workers bounds the
-// number of periods analysed concurrently (0 selects GOMAXPROCS, 1 forces
-// the serial path); the results are identical for every setting.
+// SweepPeriodsOpt is SweepPeriods with explicit options. The chain is
+// compiled once into the closed form of Equation (4) in the period, so each
+// period costs O(buffers) integer work; the points carry a nil Result.
 func SweepPeriodsOpt(g *Graph, task string, periods []RatNum, p Policy, opts SweepOptions) ([]SweepPoint, error) {
 	return capacity.SweepPeriodsOpt(g, task, periods, p, opts)
 }
 
-// MinimalFeasiblePeriod returns the first feasible point of an ascending
-// period sweep.
+// MinimalFeasiblePeriod returns the smallest feasible candidate period,
+// with its full analysis.
 func MinimalFeasiblePeriod(g *Graph, task string, periods []RatNum, p Policy) (SweepPoint, error) {
 	return capacity.MinimalFeasiblePeriod(g, task, periods, p)
 }

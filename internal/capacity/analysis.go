@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"errors"
 	"fmt"
 
 	"vrdfcap/internal/ratio"
@@ -16,9 +17,10 @@ import (
 // mutating that graph after compiling invalidates the Analysis.
 //
 // At is a pure function of the period, so one Analysis may be shared by
-// any number of goroutines — the parallel period sweep compiles once and
-// probes from every worker.
+// any number of goroutines. Curve compiles it further, into the closed
+// form in the period that sweeps evaluate.
 type Analysis struct {
+	graph     *taskgraph.Graph
 	task      string
 	policy    Policy
 	direction Direction
@@ -44,6 +46,7 @@ func CompileAnalysis(g *taskgraph.Graph, task string, p Policy) (*Analysis, erro
 			task, tasks[0].Name, tasks[len(tasks)-1].Name)
 	}
 	a := &Analysis{
+		graph:   g,
 		task:    task,
 		policy:  p,
 		tasks:   tasks,
@@ -72,13 +75,60 @@ func (a *Analysis) Policy() Policy { return a.policy }
 // Direction returns the propagation direction fixed at compile time.
 func (a *Analysis) Direction() Direction { return a.direction }
 
-// At evaluates the compiled analysis at period tau. The Result is
-// identical to Compute on the same graph, constraint and policy.
-func (a *Analysis) At(tau ratio.Rat) (*Result, error) {
-	if tau.Sign() <= 0 {
-		return nil, fmt.Errorf("taskgraph: constraint period must be positive, got %v", tau)
+// OverflowError reports that analysing a chain at a period exceeded the
+// exact int64 arithmetic of internal/ratio. It wraps the *ratio.OverflowError
+// that tripped, so errors.As finds either type.
+type OverflowError struct {
+	// Period is the period whose evaluation overflowed.
+	Period ratio.Rat
+	// Err is the underlying arithmetic overflow.
+	Err *ratio.OverflowError
+}
+
+func (e *OverflowError) Error() string {
+	return "capacity: exact arithmetic exceeds int64 (" + e.Err.Error() + ")"
+}
+
+func (e *OverflowError) Unwrap() error { return e.Err }
+
+// overflowFrom converts a recovered *ratio.OverflowError panic — the way
+// the ratio arithmetic methods report overflow — into an *OverflowError
+// for period tau; any other panic value is re-raised.
+func overflowFrom(tau ratio.Rat, r any) error {
+	oe, ok := r.(*ratio.OverflowError)
+	if !ok {
+		panic(r)
 	}
-	res := &Result{
+	return &OverflowError{Period: tau, Err: oe}
+}
+
+// periodError is the error every evaluation reports for a non-positive
+// period.
+func periodError(tau ratio.Rat) error {
+	return fmt.Errorf("taskgraph: constraint period must be positive, got %v", tau)
+}
+
+// IsOverflow reports whether err stems from exceeding the exact int64
+// arithmetic range.
+func IsOverflow(err error) bool {
+	var oe *ratio.OverflowError
+	return errors.As(err, &oe)
+}
+
+// At evaluates the compiled analysis at period tau. The Result is
+// identical to Compute on the same graph, constraint and policy. A period
+// whose exact evaluation exceeds int64 yields an *OverflowError instead of
+// a panic.
+func (a *Analysis) At(tau ratio.Rat) (res *Result, err error) {
+	if tau.Sign() <= 0 {
+		return nil, periodError(tau)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, overflowFrom(tau, r)
+		}
+	}()
+	res = &Result{
 		Constraint: taskgraph.Constraint{Task: a.task, Period: tau},
 		Direction:  a.direction,
 		Policy:     a.policy,
@@ -90,11 +140,15 @@ func (a *Analysis) At(tau ratio.Rat) (*Result, error) {
 	}
 	runTaskChecks(res, a.tasks)
 	res.Buffers = make([]BufferResult, 0, len(a.buffers))
+	var total int64
 	for i, b := range a.buffers {
 		br, err := computeBuffer(res, b, a.prod[i], a.cons[i], a.policy)
 		if err != nil {
 			return nil, err
 		}
+		// The capacities must also sum within int64, so TotalCapacity
+		// never wraps.
+		total = checkedAdd(total, br.Capacity)
 		res.Buffers = append(res.Buffers, br)
 	}
 	return res, nil

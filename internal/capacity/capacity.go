@@ -323,25 +323,38 @@ func computeBuffer(res *Result, b *taskgraph.Buffer, prodTask, consTask *taskgra
 	if br.ConstantRates {
 		br.CapacityBaseline = baselineCapacity(mu, prodTask.WCRT, consTask.WCRT, b.Prod.Max(), b.Cons.Max())
 	}
+	if err := policyError(b, p); err != nil {
+		return BufferResult{}, err
+	}
 	switch p {
 	case PolicyEquation4:
 		br.Capacity = br.CapacityEq4
 	case PolicyBaseline:
-		if !br.ConstantRates {
-			return BufferResult{}, fmt.Errorf(
-				"capacity: buffer %s has variable quanta (ξ=%v, λ=%v); the baseline technique requires constant rates — this is precisely the limitation the paper lifts",
-				b.DefaultName(), b.Prod, b.Cons)
-		}
 		br.Capacity = br.CapacityBaseline
 	case PolicyHybrid:
 		br.Capacity = br.CapacityEq4
 		if br.ConstantRates && br.CapacityBaseline < br.Capacity {
 			br.Capacity = br.CapacityBaseline
 		}
-	default:
-		return BufferResult{}, fmt.Errorf("capacity: unknown policy %v", p)
 	}
 	return br, nil
+}
+
+// policyError returns the error policy p raises on buffer b at every
+// period, or nil: an unknown policy, or the baseline on variable quanta.
+func policyError(b *taskgraph.Buffer, p Policy) error {
+	switch p {
+	case PolicyEquation4, PolicyHybrid:
+		return nil
+	case PolicyBaseline:
+		if b.Prod.IsConstant() && b.Cons.IsConstant() {
+			return nil
+		}
+		return fmt.Errorf(
+			"capacity: buffer %s has variable quanta (ξ=%v, λ=%v); the baseline technique requires constant rates — this is precisely the limitation the paper lifts",
+			b.DefaultName(), b.Prod, b.Cons)
+	}
+	return fmt.Errorf("capacity: unknown policy %v", p)
 }
 
 // baselineCapacity is the constant-rate comparator of [10, 14]:
@@ -358,7 +371,26 @@ func baselineCapacity(mu, rhoProd, rhoCons ratio.Rat, p, c int64) int64 {
 	g := ratio.GCD(p, c)
 	resp := rhoProd.Add(rhoCons).Div(mu) // containers "in flight" due to response times
 	units := resp.DivInt(g).Ceil()       // round up to whole gcd units
-	return units*g + p + c - 2*g
+	return checkedAdd(checkedMul(units, g), checkedAdd(p, c)-2*g)
+}
+
+// checkedAdd and checkedMul are int64 arithmetic that panics with a
+// *ratio.OverflowError on overflow, like the ratio methods; At recovers
+// it into an *OverflowError.
+func checkedAdd(a, b int64) int64 {
+	s, ok := ratio.CheckedAdd(a, b)
+	if !ok {
+		panic(&ratio.OverflowError{Op: "add"})
+	}
+	return s
+}
+
+func checkedMul(a, b int64) int64 {
+	p, ok := ratio.CheckedMul(a, b)
+	if !ok {
+		panic(&ratio.OverflowError{Op: "mul"})
+	}
+	return p
 }
 
 // Sized returns a deep copy of g whose buffer capacities are set to the

@@ -8,7 +8,6 @@ import (
 
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/dispatch"
-	"vrdfcap/internal/parallel"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
@@ -24,18 +23,19 @@ type SweepPoint struct {
 	Valid bool
 	// Total is the summed buffer capacity (meaningful when Valid).
 	Total int64
-	// Result is the full analysis at this period.
+	// Result is the full analysis at this period. Sweeps leave it nil —
+	// they evaluate the closed form (Curve.Eval), not the per-buffer
+	// analysis; CompileAnalysis(...).At(Period) materialises it.
+	// MinimalFeasiblePeriod fills it for the point it returns.
 	Result *Result
 }
 
 // SweepOptions tunes SweepPeriodsOpt and MinimalFeasiblePeriodOpt.
 type SweepOptions struct {
-	// Parallel bounds the number of periods analysed concurrently on this
-	// machine: 0 selects GOMAXPROCS, 1 forces the serial path. Every
-	// period is an independent pure computation, so the results —
-	// ordering, values and the error reported on a bad period — are
-	// identical for every setting (see internal/parallel for the
-	// first-error contract).
+	// Parallel is ignored: a period costs a few integer operations per
+	// buffer, so sweeps evaluate the curve serially — a worker pool would
+	// start after the sweep finished. The field stays for source
+	// compatibility.
 	Parallel int
 	// Workers, when non-empty, lists remote vrdfserve base URLs
 	// ("http://host:8080") and switches SweepPeriodsOpt to the
@@ -44,11 +44,8 @@ type SweepOptions struct {
 	// per-worker circuit breaking, work stealing and a local fallback for
 	// anything no worker answers. Every probe is the same pure function
 	// wherever it runs, so the points' Period/Valid/Total are identical
-	// to a local sweep under every fault schedule; remote points carry a
-	// nil Result. Parallel and Workers are independent: Parallel governs
-	// the local path (and the coordinator's fallback probes run
-	// serially). MinimalFeasiblePeriodOpt ignores Workers — a binary
-	// search probes one period at a time, which batching cannot help.
+	// to a local sweep under every fault schedule. MinimalFeasiblePeriodOpt
+	// ignores Workers.
 	Workers []string
 	// DispatchStats, if non-nil, accumulates the coordinator's per-worker
 	// shard/retry/steal counters across distributed sweeps.
@@ -59,16 +56,14 @@ type SweepOptions struct {
 	// Deadline, if non-zero, bounds the sweep in wall-clock time; the
 	// typed error satisfies budget.ErrBudgetExceeded.
 	Deadline time.Time
-	// Cache overrides the period-verdict cache the sweep records into and
-	// MinimalFeasiblePeriod probes from. When nil, the process-wide
-	// probecache.Shared() entry under SweepKey(g, task, p) is used, so a
-	// sweep and a later minimal-period search over the same graph share
-	// verdicts automatically. Cached verdicts never change a sweep's
-	// points — every point is fully recomputed and overwrites the cache —
-	// they only let MinimalFeasiblePeriod skip re-analysing periods whose
-	// validity is already decided.
+	// Cache is the period-verdict cache the distributed coordinator
+	// (Workers) records into and skips decided periods from. When nil,
+	// the process-wide probecache.Shared() entry under
+	// SweepKey(g, task, p) is used. Local sweeps and
+	// MinimalFeasiblePeriodOpt never read or write it: the closed form
+	// answers a period faster than a cache lookup.
 	Cache *probecache.Periods
-	// NoCache disables verdict recording and lookup entirely; it wins
+	// NoCache disables the coordinator's verdict cache entirely; it wins
 	// over Cache.
 	NoCache bool
 }
@@ -85,8 +80,9 @@ func (o SweepOptions) cache(g *taskgraph.Graph, task string, p Policy) *probecac
 	}
 }
 
-// SweepKey returns the probecache fingerprint under which period sweeps of
-// this (graph, constrained task, policy) triple share verdicts.
+// SweepKey returns the probecache fingerprint under which distributed
+// period sweeps of this (graph, constrained task, policy) triple share
+// verdicts.
 func SweepKey(g *taskgraph.Graph, task string, p Policy) string {
 	return probecache.GraphKey(g, "capacity-sweep", task, p.String())
 }
@@ -96,100 +92,68 @@ func SweepKey(g *taskgraph.Graph, task string, p Policy) string {
 // Stuijk et al. ([11] in the paper) perform for constant-rate SDF graphs,
 // here available for data-dependent chains. Tighter periods need larger
 // buffers; periods below a task's response-time limit are reported
-// infeasible rather than skipped. Periods are evaluated concurrently
-// (bounded by GOMAXPROCS); use SweepPeriodsOpt to control the worker
-// count.
+// infeasible rather than skipped.
 func SweepPeriods(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy) ([]SweepPoint, error) {
 	return SweepPeriodsOpt(g, task, periods, p, SweepOptions{})
 }
 
 // SweepPeriodsOpt is SweepPeriods with explicit options. The chain is
-// validated and compiled once (CompileAnalysis); every worker probes the
-// shared compiled analysis instead of re-deriving the chain per period.
+// compiled once into its closed form in the period (Analysis.Curve), and
+// every period costs O(buffers) integer work.
 func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy, opts SweepOptions) ([]SweepPoint, error) {
-	if len(periods) == 0 {
-		return nil, fmt.Errorf("capacity: empty period sweep")
-	}
 	a, err := CompileAnalysis(g, task, p)
 	if err != nil {
 		return nil, err
 	}
-	cache := opts.cache(g, task, p)
+	return a.Curve().Sweep(periods, opts)
+}
+
+// Sweep evaluates the curve at every period, in order, and returns the
+// trade-off points with a nil Result. The first failing period, in list
+// order, is reported as "capacity: period τ: …". With opts.Workers the
+// periods are sharded across remote workers instead, with this curve as
+// the coordinator's local fallback.
+func (c *Curve) Sweep(periods []ratio.Rat, opts SweepOptions) ([]SweepPoint, error) {
+	if len(periods) == 0 {
+		return nil, fmt.Errorf("capacity: empty period sweep")
+	}
 	if len(opts.Workers) > 0 {
-		return sweepDistributed(g, task, periods, p, a, cache, opts)
+		return c.sweepDistributed(periods, opts)
 	}
 	bud := budget.At(opts.Context, opts.Deadline)
-	eval := func(i int) (SweepPoint, error) {
+	out := make([]SweepPoint, len(periods))
+	for i, tau := range periods {
 		if err := bud.Err(); err != nil {
-			return SweepPoint{}, err
+			return nil, err
 		}
-		tau := periods[i]
-		res, err := a.At(tau)
+		valid, total, err := c.Eval(tau)
 		if err != nil {
-			return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", tau, err)
+			return nil, fmt.Errorf("capacity: period %v: %w", tau, err)
 		}
-		pt := SweepPoint{
-			Period: tau,
-			Valid:  res.Valid,
-			Total:  res.TotalCapacity(),
-			Result: res,
-		}
-		if cache != nil {
-			// Freshly computed verdicts overwrite whatever was stored, so
-			// a stale or corrupted cache entry heals on the next sweep.
-			cache.Insert(tau, probecache.Verdict{Valid: pt.Valid, Total: pt.Total})
-		}
-		return pt, nil
+		out[i] = SweepPoint{Period: tau, Valid: valid, Total: total}
 	}
-	if parallel.Workers(opts.Parallel) == 1 {
-		out := make([]SweepPoint, 0, len(periods))
-		for i := range periods {
-			pt, err := eval(i)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pt)
-		}
-		return out, nil
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pts, err := parallel.Map(ctx, opts.Parallel, len(periods), eval)
-	if err != nil {
-		return nil, budget.Classify(err)
-	}
-	return pts, nil
+	return out, nil
 }
 
 // MinimalFeasiblePeriod returns the smallest candidate period at which the
-// chain is feasible, or an error if none is. The candidate list is expected
-// in ascending order; a list that is not ascending is sorted into a copy
-// first, so the returned point is the true minimum regardless of input
-// order (an unsorted list used to silently return the first feasible — not
-// the minimal — period).
+// chain is feasible, or an error if none is. The candidates may come in any
+// order; they are sorted into a copy first, so the returned point is the
+// true minimum.
 func MinimalFeasiblePeriod(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy) (SweepPoint, error) {
 	return MinimalFeasiblePeriodOpt(g, task, periods, p, SweepOptions{})
 }
 
 // MinimalFeasiblePeriodOpt is MinimalFeasiblePeriod with explicit options.
 //
-// Validity is monotone in the period — every schedule check compares a
-// fixed response time ρ(w) against φ(w) = τ·const with const > 0, so
-// relaxing τ can only help — which makes binary search over the sorted
-// candidates exact. Instead of analysing every candidate (the historical
-// behaviour, which re-verified periods a SweepPeriods in the same process
-// had already answered), the search probes O(log n) candidates and answers
-// each probe from the shared period-verdict cache when a recorded verdict
-// — exact or by dominance — already decides it.
+// Validity is the threshold τ ≥ P* of the compiled curve, so the answer is
+// the smallest candidate at or above P* (none when a zero quantum makes
+// every period infeasible). Only that point is analysed in full, so the
+// returned SweepPoint carries its Result.
 func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Policy, opts SweepOptions) (SweepPoint, error) {
 	if len(periods) == 0 {
 		return SweepPoint{}, fmt.Errorf("capacity: empty period sweep")
 	}
-	// Sort and dedupe into a copy: duplicate candidates would skew the
-	// binary-search midpoints (wasting probes re-deciding the same period)
-	// without changing the answer, and the caller's slice is never mutated.
+	// Sort and dedupe into a copy; the caller's slice is never mutated.
 	less := func(i, j int) bool { return periods[i].Less(periods[j]) }
 	sorted := make([]ratio.Rat, len(periods))
 	copy(sorted, periods)
@@ -208,59 +172,25 @@ func MinimalFeasiblePeriodOpt(g *taskgraph.Graph, task string, periods []ratio.R
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	cache := opts.cache(g, task, p)
+	c := a.Curve()
 	bud := budget.At(opts.Context, opts.Deadline)
-	computed := make([]*SweepPoint, len(periods))
-	probe := func(i int) (bool, error) {
+	for _, tau := range periods {
 		if err := bud.Err(); err != nil {
-			return false, err
+			return SweepPoint{}, err
 		}
-		tau := periods[i]
-		if cache != nil {
-			// Probe combines the exact and dominance lookups under one
-			// counter update, so hits + misses equals the probe count.
-			if v, _, hit := cache.Probe(tau); hit {
-				return v.Valid, nil
-			}
+		ok, err := c.Feasible(tau)
+		if err != nil {
+			return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", tau, err)
+		}
+		if !ok {
+			continue
 		}
 		res, err := a.At(tau)
 		if err != nil {
-			return false, fmt.Errorf("capacity: period %v: %w", tau, err)
+			return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", tau, err)
 		}
-		pt := SweepPoint{Period: tau, Valid: res.Valid, Total: res.TotalCapacity(), Result: res}
-		computed[i] = &pt
-		if cache != nil {
-			cache.Insert(tau, probecache.Verdict{Valid: pt.Valid, Total: pt.Total})
-		}
-		return pt.Valid, nil
+		return SweepPoint{Period: tau, Valid: res.Valid, Total: res.TotalCapacity(), Result: res}, nil
 	}
-	// Invariant: every candidate below lo is infeasible, every candidate
-	// at or beyond hi is feasible (by monotonicity once probed).
-	lo, hi := 0, len(periods)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		valid, err := probe(mid)
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		if valid {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == len(periods) {
-		return SweepPoint{}, fmt.Errorf("capacity: no feasible period among %d candidates (fastest %v, slowest %v)",
-			len(periods), periods[0], periods[len(periods)-1])
-	}
-	if pt := computed[lo]; pt != nil {
-		return *pt, nil
-	}
-	// The winning probe was answered by the cache; materialise the full
-	// analysis for it once.
-	res, err := a.At(periods[lo])
-	if err != nil {
-		return SweepPoint{}, fmt.Errorf("capacity: period %v: %w", periods[lo], err)
-	}
-	return SweepPoint{Period: periods[lo], Valid: res.Valid, Total: res.TotalCapacity(), Result: res}, nil
+	return SweepPoint{}, fmt.Errorf("capacity: no feasible period among %d candidates (fastest %v, slowest %v)",
+		len(periods), periods[0], periods[len(periods)-1])
 }

@@ -29,19 +29,16 @@ func benchmarkSweepFixture(b *testing.B) (sweepFixture, []ratio.Rat) {
 	return sweepFixture{g: g, task: c.Task}, periods
 }
 
-// benchmarkSweep sweeps 64 periods over a 40-stage chain; per-period
-// analysis cost dominates the pool overhead, so the parallel variant
-// approaches a GOMAXPROCS-fold speedup on multi-core runners. The sweep
-// compiles the chain once (CompileAnalysis) and probes the compiled
-// analysis per period; NoCache keeps the measurement free of cross-run
+// BenchmarkSweepPeriods sweeps 64 periods over a 40-stage chain: one
+// compile (CompileAnalysis plus its closed form in the period) and 64
+// closed-form evaluations. NoCache keeps the measurement free of cross-run
 // verdict caching so allocs/op is deterministic for the CI bench gate.
-func benchmarkSweep(b *testing.B, workers int) {
+func BenchmarkSweepPeriods(b *testing.B) {
 	fx, periods := benchmarkSweepFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := SweepPeriodsOpt(fx.g, fx.task, periods, PolicyEquation4,
-			SweepOptions{Parallel: workers, NoCache: true})
+		pts, err := SweepPeriodsOpt(fx.g, fx.task, periods, PolicyEquation4, SweepOptions{NoCache: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,8 +48,23 @@ func benchmarkSweep(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSweepPeriods is the serial design-space sweep the CI bench
-// gate tracks for allocs/op regressions.
-func BenchmarkSweepPeriods(b *testing.B)  { benchmarkSweep(b, 1) }
-func BenchmarkSweepSerial(b *testing.B)   { benchmarkSweep(b, 1) }
-func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, 0) }
+// BenchmarkCurveEval evaluates the compiled closed form of the same
+// 40-stage chain at its 64 periods per op. The CI bench gate holds it at
+// allocs_per_op zero: Eval is annotated //vrdf:noalloc.
+func BenchmarkCurveEval(b *testing.B) {
+	fx, periods := benchmarkSweepFixture(b)
+	a, err := CompileAnalysis(fx.g, fx.task, PolicyEquation4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := a.Curve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tau := range periods {
+			if _, _, err := c.Eval(tau); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -39,10 +39,11 @@ func (c *countdownCtx) Done() <-chan struct{} {
 	return nil
 }
 
-// TestSweepCanceledWarmCacheReusable is the satellite contract: verdicts
-// recorded by a sweep that was canceled mid-flight stay reusable and
-// correct — a later sweep and minimal-period search against the same cache
-// return exactly what a cold run returns.
+// TestSweepCanceledWarmCacheReusable pins cancellation against a cache:
+// a sweep canceled mid-flight returns the typed error and leaves the
+// verdict cache exactly as it found it (sweeps never write it), and a later
+// sweep and minimal-period search over the same options return exactly
+// what a cold run returns.
 func TestSweepCanceledWarmCacheReusable(t *testing.T) {
 	g := sweepPair(t)
 	periods := sweepPeriodList()
@@ -53,12 +54,10 @@ func TestSweepCanceledWarmCacheReusable(t *testing.T) {
 	if !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	warmed := cache.Len()
-	if warmed == 0 || warmed >= len(periods) {
-		t.Fatalf("canceled sweep recorded %d verdicts, want a strict mid-flight subset of %d", warmed, len(periods))
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("canceled sweep recorded %d verdicts, want none", n)
 	}
 
-	// The partially warmed cache must not perturb a full re-sweep.
 	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +71,10 @@ func TestSweepCanceledWarmCacheReusable(t *testing.T) {
 			t.Errorf("point %d diverged after cancel+resume: %+v vs %+v", i, cold[i], warm[i])
 		}
 	}
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("sweep recorded %d verdicts, want none", n)
+	}
 
-	// And the minimal-period search over the warm cache agrees with the
-	// cold ground truth.
 	wantPt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -84,82 +84,14 @@ func TestSweepCanceledWarmCacheReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !gotPt.Period.Equal(wantPt.Period) || gotPt.Total != wantPt.Total {
-		t.Errorf("warm minimal period = (%v, %d), want (%v, %d)",
+		t.Errorf("minimal period with a cache = (%v, %d), want (%v, %d)",
 			gotPt.Period, gotPt.Total, wantPt.Period, wantPt.Total)
 	}
 }
 
-// TestMinimalFeasiblePeriodReusesSweepVerdicts is the bugfix contract:
-// after a SweepPeriods over the candidates, MinimalFeasiblePeriod on the
-// same shared cache answers every probe from recorded verdicts instead of
-// re-analysing them.
-func TestMinimalFeasiblePeriodReusesSweepVerdicts(t *testing.T) {
-	g := sweepPair(t)
-	periods := sweepPeriodList()
-	cache := probecache.NewPeriods()
-	if _, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	_, missesBefore := cache.Counters()
-	pt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cache.Counters()
-	if misses != missesBefore {
-		t.Errorf("minimal-period search re-analysed %d already-swept periods", misses-missesBefore)
-	}
-	if hits == 0 {
-		t.Error("minimal-period search hit the cache zero times")
-	}
-	want, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pt.Period.Equal(want.Period) || pt.Total != want.Total || pt.Valid != want.Valid {
-		t.Errorf("cached search returned (%v, %d), want (%v, %d)", pt.Period, pt.Total, want.Period, want.Total)
-	}
-	if pt.Result == nil || pt.Result.TotalCapacity() != pt.Total {
-		t.Error("cached search returned no materialised Result")
-	}
-}
-
-// TestMinimalFeasiblePeriodSharedDefault pins the zero-plumbing path: with
-// default options, SweepPeriods and MinimalFeasiblePeriod share the
-// process-wide store keyed by SweepKey, so the search after a sweep is
-// pure cache hits.
-func TestMinimalFeasiblePeriodSharedDefault(t *testing.T) {
-	g := sweepPair(t)
-	// A fresh period axis avoids interference from other tests' sweeps of
-	// the same fingerprint within this process.
-	var periods []ratio.Rat
-	for i := int64(1); i <= 32; i++ {
-		periods = append(periods, r(i*7, 13))
-	}
-	if _, err := SweepPeriods(g, "wb", periods, PolicyEquation4); err != nil {
-		t.Fatal(err)
-	}
-	entry := probecache.Shared().Entry(SweepKey(g, "wb", PolicyEquation4))
-	_, missesBefore := entry.Periods().Counters()
-	pt, err := MinimalFeasiblePeriod(g, "wb", periods, PolicyEquation4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := entry.Periods().Counters(); misses != missesBefore {
-		t.Errorf("default-path search re-analysed %d periods after a sweep", misses-missesBefore)
-	}
-	want, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pt.Period.Equal(want.Period) || pt.Total != want.Total {
-		t.Errorf("shared-cache search = (%v, %d), want (%v, %d)", pt.Period, pt.Total, want.Period, want.Total)
-	}
-}
-
-// TestMinimalFeasiblePeriodMatchesLinearScan cross-checks the binary
-// search against the exhaustive scan on seeded random chains, cached and
-// uncached.
+// TestMinimalFeasiblePeriodMatchesLinearScan cross-checks the threshold
+// lookup against the exhaustive scan on seeded random chains, with and
+// without a cache in the options.
 func TestMinimalFeasiblePeriodMatchesLinearScan(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		cfg := graphgen.Defaults(seed + 40)
@@ -194,28 +126,30 @@ func TestMinimalFeasiblePeriodMatchesLinearScan(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			if !got.Period.Equal(want.Period) || got.Total != want.Total {
-				t.Fatalf("seed %d: binary search = (%v, %d), linear scan = (%v, %d)",
+				t.Fatalf("seed %d: threshold lookup = (%v, %d), linear scan = (%v, %d)",
 					seed, got.Period, got.Total, want.Period, want.Total)
 			}
 		}
 	}
 }
 
-// TestSweepHealsPoisonedCache pins the advisory-cache contract: a wrong
-// verdict planted in the cache cannot change a sweep's points (each point
-// is recomputed) and is overwritten by the fresh verdict.
-func TestSweepHealsPoisonedCache(t *testing.T) {
+// TestSweepIgnoresPoisonedCache pins that a period-verdict cache cannot
+// change a sweep's points: wrong verdicts planted for every period leave
+// the curve and the minimal feasible period exactly as a cache-less run
+// computes them, and the sweep leaves the planted verdicts alone.
+func TestSweepIgnoresPoisonedCache(t *testing.T) {
 	g := sweepPair(t)
 	periods := sweepPeriodList()
-	cache := probecache.NewPeriods()
-	poisoned := periods[10]
-	cache.Insert(poisoned, probecache.Verdict{Valid: false, Total: -1})
-
-	pts, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
+	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	cache := probecache.NewPeriods()
+	for _, pt := range cold {
+		cache.Insert(pt.Period, probecache.Verdict{Valid: !pt.Valid, Total: -1})
+	}
+
+	pts, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +158,18 @@ func TestSweepHealsPoisonedCache(t *testing.T) {
 			t.Errorf("point %d poisoned: %+v vs %+v", i, pts[i], cold[i])
 		}
 	}
-	if v, ok := cache.Lookup(poisoned); !ok || v.Total == -1 {
-		t.Errorf("poisoned verdict not healed: %+v, %v", v, ok)
+	want, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Period.Equal(want.Period) || got.Total != want.Total {
+		t.Errorf("poisoned minimal period = (%v, %d), want (%v, %d)", got.Period, got.Total, want.Period, want.Total)
+	}
+	if v, ok := cache.Lookup(periods[10]); !ok || v.Total != -1 {
+		t.Errorf("sweep rewrote a planted verdict: %+v, %v", v, ok)
 	}
 }

@@ -1,7 +1,9 @@
 package ratio
 
 import (
+	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -73,5 +75,78 @@ func TestCrossCheckStringAgainstBigRat(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuo128AgainstBigInt cross-checks the 128-bit division behind
+// FloorDiv on random operands of every magnitude class, including
+// divisors of 64–128 bits and quotients at the 64-bit edge.
+func TestQuo128AgainstBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func() uint64 {
+		// Mix full-width words with small, edge and shifted values.
+		switch rng.Intn(5) {
+		case 0:
+			return uint64(rng.Intn(1000))
+		case 1:
+			return math.MaxUint64 - uint64(rng.Intn(3))
+		case 2:
+			return rng.Uint64() >> uint(rng.Intn(64))
+		}
+		return rng.Uint64()
+	}
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	toInt := func(hi, lo uint64) *big.Int {
+		v := new(big.Int).SetUint64(hi)
+		return v.Mul(v, two64).Add(v, new(big.Int).SetUint64(lo))
+	}
+	for i := 0; i < 200000; i++ {
+		xhi, xlo, yhi, ylo := word(), word(), word(), word()
+		if i%2 == 0 {
+			yhi = 0
+		}
+		if yhi == 0 && ylo == 0 {
+			continue
+		}
+		x, y := toInt(xhi, xlo), toInt(yhi, ylo)
+		q, m := new(big.Int).DivMod(x, y, new(big.Int))
+		got, exact, ok := quo128(xhi, xlo, yhi, ylo)
+		if fits := q.IsUint64(); ok != fits || (ok && (got != q.Uint64() || exact != (m.Sign() == 0))) {
+			t.Fatalf("quo128(%d:%d / %d:%d) = (%d, %v, %v), want %v rem %v", xhi, xlo, yhi, ylo, got, exact, ok, q, m)
+		}
+	}
+}
+
+// TestFloorDivAgainstBigRat cross-checks FloorDiv on full-range
+// components, where r.Div(s) itself would overflow.
+func TestFloorDivAgainstBigRat(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	comp := func() int64 {
+		if rng.Intn(3) == 0 {
+			return 1 + rng.Int63n(1000)
+		}
+		return 1 + rng.Int63()>>uint(rng.Intn(63))
+	}
+	for i := 0; i < 100000; i++ {
+		r, err := New(comp()-1, comp())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(comp(), comp())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(big.Rat).Quo(toBig(r), toBig(s))
+		q, m := new(big.Int).DivMod(want.Num(), want.Denom(), new(big.Int))
+		got, exact, ok := r.FloorDiv(s)
+		if ok != q.IsInt64() || (ok && (got != q.Int64() || exact != (m.Sign() == 0))) {
+			t.Fatalf("%v FloorDiv %v = (%d, %v, %v), want %v (exact %v)", r, s, got, exact, ok, q, m.Sign() == 0)
+		}
+	}
+	if _, _, ok := MustNew(-1, 2).FloorDiv(One); ok {
+		t.Error("negative dividend accepted")
+	}
+	if _, _, ok := One.FloorDiv(Zero); ok {
+		t.Error("zero divisor accepted")
 	}
 }

@@ -290,6 +290,65 @@ func (r Rat) Cmp(s Rat) int {
 	return c
 }
 
+// FloorDiv returns ⌊r/s⌋ for r ≥ 0 and s > 0, together with whether r/s is
+// an integer. Like Cmp it never overflows an intermediate: the quotient is
+// r.num·s.den / (r.den·s.num) with both products evaluated in 128 bits, so
+// it answers where r.Div(s) would overflow. ok is false when r < 0, s ≤ 0
+// or the quotient exceeds int64.
+func (r Rat) FloorDiv(s Rat) (q int64, exact, ok bool) {
+	r, s = r.normalised(), s.normalised()
+	if r.num < 0 || s.num <= 0 {
+		return 0, false, false
+	}
+	xhi, xlo := bits.Mul64(uint64(r.num), uint64(s.den))
+	yhi, ylo := bits.Mul64(uint64(r.den), uint64(s.num))
+	u, exact, ok := quo128(xhi, xlo, yhi, ylo)
+	if !ok || u > math.MaxInt64 {
+		return 0, false, false
+	}
+	return int64(u), exact, true
+}
+
+// quo128 returns ⌊x/y⌋ for the 128-bit values x = xhi·2⁶⁴+xlo and
+// y = yhi·2⁶⁴+ylo > 0, and whether the division is exact; ok is false when
+// the quotient needs more than 64 bits. The y ≥ 2⁶⁴ branch is the
+// normalised-estimate division of Hacker's Delight (§9-5): the estimate
+// from the divisor's top 64 bits is the quotient or one below it.
+func quo128(xhi, xlo, yhi, ylo uint64) (q uint64, exact, ok bool) {
+	if yhi == 0 {
+		if xhi >= ylo {
+			return 0, false, false
+		}
+		q, rem := bits.Div64(xhi, xlo, ylo)
+		return q, rem == 0, true
+	}
+	n := uint(bits.LeadingZeros64(yhi))
+	v := yhi<<n | ylo>>(64-n)
+	// Halve x so the 128/64 estimate cannot overflow: x/2 < 2¹²⁷ ≤ v·2⁶⁴.
+	q1, _ := bits.Div64(xhi>>1, xhi<<63|xlo>>1, v)
+	q = q1 >> (63 - n)
+	if q != 0 {
+		q--
+	}
+	// r = x − q·y fits: q ≤ ⌊x/y⌋. Step q up once if r ≥ y.
+	phi, plo := bits.Mul64(q, ylo)
+	phi += q * yhi
+	rlo, borrow := bits.Sub64(xlo, plo, 0)
+	rhi, _ := bits.Sub64(xhi, phi, borrow)
+	if rhi > yhi || (rhi == yhi && rlo >= ylo) {
+		q++
+		rlo, borrow = bits.Sub64(rlo, ylo, 0)
+		rhi, _ = bits.Sub64(rhi, yhi, borrow)
+	}
+	return q, rhi == 0 && rlo == 0, true
+}
+
+// CheckedAdd returns a + b and whether the sum fits int64.
+func CheckedAdd(a, b int64) (int64, bool) { return add64(a, b) }
+
+// CheckedMul returns a · b and whether the product fits int64.
+func CheckedMul(a, b int64) (int64, bool) { return mul64(a, b) }
+
 // absU64 returns |n| as a uint64; well-defined for MinInt64.
 func absU64(n int64) uint64 {
 	if n < 0 {

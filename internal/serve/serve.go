@@ -17,9 +17,11 @@
 //     graph plus every parameter that co-determines the answer): N
 //     concurrent requests for the same problem — even with textually
 //     different documents — run ONE computation, and every waiter receives
-//     byte-identical response bodies. Verdicts land in the probecache
-//     store, so even after the response cache evicts, repeat sizings
-//     replay from the feasibility frontier instead of simulating.
+//     byte-identical response bodies. Minimization verdicts land in the
+//     probecache store, so even after the response cache evicts, repeat
+//     sizings replay from the feasibility frontier instead of simulating.
+//     Sweeps evaluate the closed form of Equation (4) in the period
+//     (capacity.Curve) and store nothing.
 //
 //   - Bounded everything. Documents are parsed under graphio.Limits,
 //     computations run on a fixed worker pool with a bounded queue (a full
@@ -71,8 +73,9 @@ type Config struct {
 	// RequestTimeout is the wall-clock budget per computation, enforced
 	// through internal/budget (0: 30s; negative: unlimited).
 	RequestTimeout time.Duration
-	// SearchWorkers is the parallelism inside one search or sweep (≤0: 1;
-	// cross-request parallelism comes from Workers).
+	// SearchWorkers is the parallelism inside one search or degradation
+	// curve (≤0: 1; cross-request parallelism comes from Workers). Sweeps
+	// evaluate the closed form serially.
 	SearchWorkers int
 	// SweepWorkers, when non-empty, lists remote vrdfserve base URLs that
 	// /v1/sweep requests are sharded across through the internal/dispatch
@@ -105,7 +108,8 @@ type Config struct {
 	// drained and discarded; drops are still counted either way).
 	AccessLog io.Writer
 	// Store holds feasibility verdicts across requests and processes
-	// (nil: probecache.Shared()).
+	// (nil: probecache.Shared()). Only minimizations record into it;
+	// sweeps and probes leave it untouched.
 	Store *probecache.Store
 	// CacheBackend, when non-nil, is served under /v1/cache/ so a fleet
 	// of replicas can pool verdict payloads through this process
@@ -426,11 +430,20 @@ func (s *Server) serveMiss(w http.ResponseWriter, r *http.Request, c *reqCtx, pa
 	if leader {
 		kind = kindCompute
 		job := func() {
+			var e *respEntry
+			var err error
+			// A panic fails this request with a 500 instead of taking
+			// the worker — and with it the process — down.
+			defer func() {
+				if r := recover(); r != nil {
+					e, err = nil, fmt.Errorf("serve: internal error: %v", r)
+				}
+				s.flights.finish(spec.key, call, e, err)
+			}()
 			if s.cfg.computeHook != nil {
 				s.cfg.computeHook()
 			}
-			e, err := s.render(spec)
-			s.flights.finish(spec.key, call, e, err)
+			e, err = s.render(spec)
 		}
 		if err := s.pool.submit(job); err != nil {
 			s.stats.rejected.Add(1)
@@ -548,63 +561,55 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 			return s.runMinimize(ctx, deadline, fp, g, sized, res, con, policy, firings, seed)
 		}}, nil
 
-	case pathSweep:
+	case pathSweep, pathProbe:
 		periods, joined, err := s.sweepParams(q)
 		if err != nil {
 			return nil, err
 		}
-		// Validate the chain shape before taking a worker slot.
-		if _, err := capacity.Compute(g, *con, policy); err != nil {
+		// Compile the closed form once, before taking a worker slot; a
+		// chain or policy the analysis rejects is the client's error.
+		a, err := capacity.CompileAnalysis(g, con.Task, policy)
+		if err != nil {
 			return nil, badReq(err)
+		}
+		curve := a.Curve()
+		if err := curve.Err(); err != nil {
+			return nil, badReq(err)
+		}
+		if pathID == pathProbe {
+			key := probecache.GraphKey(g, "serve-probe",
+				"task="+con.Task, "policy="+policy.String(), "periods="+joined)
+			return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
+				// A probe batch ALWAYS computes locally — never through
+				// SweepWorkers — so a fleet whose members list each other
+				// as workers can never recurse.
+				pts, err := curve.Sweep(periods, capacity.SweepOptions{Context: ctx, Deadline: deadline})
+				if err != nil {
+					return nil, err
+				}
+				s.stats.probeBatches.Add(1)
+				s.stats.probePeriods.Add(int64(len(pts)))
+				return probeResponseOf(con.Task, policy, pts), nil
+			}}, nil
 		}
 		key := probecache.GraphKey(g, "serve-sweep",
 			"task="+con.Task, "policy="+policy.String(), "periods="+joined)
 		return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
-			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{
-				Parallel: s.cfg.SearchWorkers,
+			pts, err := curve.Sweep(periods, capacity.SweepOptions{
 				// Coordinator mode: with -workers configured this server
 				// shards the sweep across the fleet instead of computing it.
 				Workers:       s.cfg.SweepWorkers,
 				DispatchStats: &s.dispatch,
 				Context:       ctx,
 				Deadline:      deadline,
-				Cache:         s.cfg.Store.EntryContext(ctx, capacity.SweepKey(g, con.Task, policy)).Periods(),
+				// Only the coordinator consults a verdict cache; without
+				// one, no sweep leaves a store entry behind.
+				NoCache: true,
 			})
 			if err != nil {
 				return nil, err
 			}
 			return sweepResponseOf(con.Task, policy, pts), nil
-		}}, nil
-
-	case pathProbe:
-		periods, joined, err := s.sweepParams(q)
-		if err != nil {
-			return nil, err
-		}
-		// Validate the chain shape before taking a worker slot.
-		if _, err := capacity.Compute(g, *con, policy); err != nil {
-			return nil, badReq(err)
-		}
-		key := probecache.GraphKey(g, "serve-probe",
-			"task="+con.Task, "policy="+policy.String(), "periods="+joined)
-		return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
-			// A probe batch ALWAYS computes locally — never through
-			// SweepWorkers — so a fleet whose members list each other as
-			// workers can never recurse. The verdicts land under the same
-			// SweepKey entry /v1/sweep uses, so coordinator-driven probes
-			// and direct sweeps share one frontier per problem.
-			pts, err := capacity.SweepPeriodsOpt(g, con.Task, periods, policy, capacity.SweepOptions{
-				Parallel: s.cfg.SearchWorkers,
-				Context:  ctx,
-				Deadline: deadline,
-				Cache:    s.cfg.Store.EntryContext(ctx, capacity.SweepKey(g, con.Task, policy)).Periods(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.stats.probeBatches.Add(1)
-			s.stats.probePeriods.Add(int64(len(pts)))
-			return probeResponseOf(con.Task, policy, pts), nil
 		}}, nil
 
 	case pathDegradation:
@@ -954,7 +959,8 @@ func badReqf(format string, args ...any) error {
 }
 
 // statusFor maps error kinds to HTTP statuses: oversized input 413, other
-// document limits and bad documents/parameters 400, shed load 503,
+// document limits, bad documents/parameters and chains whose exact
+// arithmetic exceeds int64 400, shed load 503,
 // exhausted budget 504, a hung-up client 499, anything else 500.
 func statusFor(err error) int {
 	var le *graphio.LimitError
@@ -965,7 +971,7 @@ func statusFor(err error) int {
 			return http.StatusRequestEntityTooLarge
 		}
 		return http.StatusBadRequest
-	case errors.As(err, &br):
+	case errors.As(err, &br), capacity.IsOverflow(err):
 		return http.StatusBadRequest
 	case errors.Is(err, errBusy):
 		return http.StatusServiceUnavailable
