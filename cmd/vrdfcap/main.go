@@ -29,9 +29,6 @@
 //	               during -minimize (0 disables warm-starting; default 8)
 //	-parallel n    worker goroutines for minimisation probes and the
 //	               degradation sweep (0 = GOMAXPROCS)
-//	-workers list  comma-separated vrdfserve base URLs to shard the -sweep
-//	               across (distributed coordinator; failed or dead workers
-//	               degrade to local computation, results are identical)
 //	-timeout d     wall-clock budget for simulation-backed steps (0 = none)
 //	-max-events n  cap simulated events per run (0 = engine default)
 //	-jitter q      admissible execution-time jitter in [0,1) for -verify
@@ -59,7 +56,6 @@ import (
 	"vrdfcap"
 	"vrdfcap/internal/cachecli"
 	"vrdfcap/internal/capacity"
-	"vrdfcap/internal/dispatch"
 	"vrdfcap/internal/minimize"
 	"vrdfcap/internal/parallel"
 	"vrdfcap/internal/probecache"
@@ -89,7 +85,6 @@ func run(args []string, out io.Writer) error {
 	minimizeFirings := fs.Int64("minimize-firings", 0, "firings of the constrained task per minimization probe (0 = use -firings)")
 	checkpointsN := fs.Int("checkpoints", 8, "checkpoints retained per probe machine for warm-started -minimize probes (0 = cold resets only)")
 	parallelN := fs.Int("parallel", 0, "worker goroutines for minimisation probes and the degradation sweep (0 = GOMAXPROCS, 1 = serial)")
-	workersStr := fs.String("workers", "", "comma-separated remote vrdfserve base URLs to shard the -sweep across")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
 	jitterStr := fs.String("jitter", "", "admissible execution-time jitter fraction in [0, 1) injected during -verify, e.g. 1/2")
@@ -166,19 +161,12 @@ func run(args []string, out io.Writer) error {
 				cs.SinkOffset, cs.SinkOffset.Float64(), cs.LatencyBound, cs.LatencyBound.Float64())
 		}
 	}
-	dispatchStats := &dispatch.Stats{}
 	if *sweep != "" {
 		periods, err := parsePeriods(*sweep)
 		if err != nil {
 			return err
 		}
-		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{
-			Workers:       splitWorkers(*workersStr),
-			DispatchStats: dispatchStats,
-			Deadline:      deadline,
-			NoCache:       cacheFlags.Disable,
-			Cache:         cachecli.Periods(store, capacity.SweepKey(g, c.Task, policy)),
-		})
+		pts, err := vrdfcap.SweepPeriodsOpt(g, c.Task, periods, policy, vrdfcap.SweepOptions{Deadline: deadline})
 		if err != nil {
 			return err
 		}
@@ -350,23 +338,8 @@ func run(args []string, out io.Writer) error {
 		timer.Stop(&stats)
 		fmt.Fprintf(out, "\nrun stats: %s\n", &stats)
 		cachecli.WriteStats(out, store, written)
-		if sn := dispatchStats.Snapshot(); sn.Sweeps > 0 {
-			fmt.Fprintf(out, "%s\n", sn)
-		}
 	}
 	return nil
-}
-
-// splitWorkers parses the -workers list: comma-separated base URLs,
-// surrounding whitespace and empty elements dropped.
-func splitWorkers(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // startProfiling starts a CPU profile and/or arranges a heap profile,

@@ -1,9 +1,6 @@
 // Command vrdfserve runs the capacity-analysis service (internal/serve)
 // behind a hardened net/http server: POST graph documents to /v1/size,
-// /v1/minimize, /v1/sweep, /v1/probe or /v1/degradation; probe /healthz
-// and /statsz. With -sweep-workers the process acts as a sweep
-// coordinator, sharding /v1/sweep grids across a fleet of workers'
-// /v1/probe endpoints (see internal/dispatch).
+// /v1/minimize, /v1/sweep or /v1/degradation; probe /healthz and /statsz.
 // The -cache-store tier is additionally served under /v1/cache/, so a
 // fleet of vrdfcap/vrdfserve replicas pointed at this process with
 // -cache-backend=http://host:port pools one feasibility frontier.
@@ -25,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -46,18 +42,6 @@ const (
 	idleTimeout       = 2 * time.Minute
 	maxHeaderBytes    = 1 << 20
 )
-
-// splitList parses a comma-separated flag value, dropping whitespace and
-// empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
 
 // newHTTPServer returns the hardened http.Server every vrdfserve
 // listener uses; a test pins the configured values.
@@ -89,9 +73,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "analysis worker goroutines (0: GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "jobs waiting for a worker before requests are shed with 503")
 	timeout := fs.Duration("timeout", 30*time.Second, "wall-clock budget per computation (negative: unlimited)")
-	searchWorkers := fs.Int("search-workers", 1, "parallelism inside one search or sweep")
-	sweepWorkers := fs.String("sweep-workers", "",
-		"comma-separated vrdfserve base URLs to shard /v1/sweep requests across (coordinator mode; their /v1/probe batches always compute locally)")
+	searchWorkers := fs.Int("search-workers", 1, "parallelism inside one minimize search or degradation curve (sweeps are serial)")
 	firings := fs.Int64("firings", 1000, "default simulation horizon for minimize and degradation")
 	maxFirings := fs.Int64("max-firings", 200_000, "cap on the per-request firings override")
 	maxEvents := fs.Int64("max-events", 0, "cap on simulated events per probe run (0: engine default)")
@@ -172,7 +154,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Queue:             *queue,
 		RequestTimeout:    *timeout,
 		SearchWorkers:     *searchWorkers,
-		SweepWorkers:      splitList(*sweepWorkers),
 		Firings:           *firings,
 		MaxFirings:        *maxFirings,
 		MaxEvents:         *maxEvents,

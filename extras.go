@@ -17,8 +17,7 @@ type (
 	ChainSchedule = capacity.ChainSchedule
 	// SweepPoint is one point of a throughput/buffer trade-off curve.
 	SweepPoint = capacity.SweepPoint
-	// SweepOptions tunes SweepPeriodsOpt: cancellation, deadline and
-	// remote workers.
+	// SweepOptions tunes SweepPeriodsOpt: cancellation and deadline.
 	SweepOptions = capacity.SweepOptions
 
 	// TDM and RoundRobin derive worst-case response times κ from

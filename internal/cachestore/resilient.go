@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vrdfcap/internal/budget"
+	"vrdfcap/internal/splitmix"
 )
 
 // errBreakerOpen short-circuits primary attempts while the circuit is
@@ -276,7 +277,7 @@ func (r *Resilient) backoffFor(attempt int) time.Duration {
 	if d > r.opt.MaxBackoff {
 		d = r.opt.MaxBackoff
 	}
-	x := splitmix64(r.opt.Seed ^ r.jitterSeq.Add(1))
+	x := splitmix.Mix(r.opt.Seed ^ r.jitterSeq.Add(1))
 	return d/2 + time.Duration(x%uint64(d)) // d/2 + [0, d) = [0.5d, 1.5d)
 }
 
@@ -460,14 +461,4 @@ func (r *Resilient) List(ctx context.Context) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// splitmix64 is the finaliser of the splitmix64 generator: a bijective
-// avalanche mix, so hashing the (seed, sequence) pairs through it yields
-// an independent-looking jitter stream (same idiom as internal/faults).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vrdfcap/internal/budget"
-	"vrdfcap/internal/dispatch"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
@@ -34,55 +33,26 @@ type SweepPoint struct {
 type SweepOptions struct {
 	// Parallel is ignored: a period costs a few integer operations per
 	// buffer, so sweeps evaluate the curve serially — a worker pool would
-	// start after the sweep finished. The field stays for source
-	// compatibility.
+	// start after the sweep finished. It is kept only because perfbench
+	// sets it; the next benchmark change removes it.
 	Parallel int
-	// Workers, when non-empty, lists remote vrdfserve base URLs
-	// ("http://host:8080") and switches SweepPeriodsOpt to the
-	// internal/dispatch coordinator: the grid is cut into interleaved
-	// shards driven over each worker's /v1/probe endpoint, with retries,
-	// per-worker circuit breaking, work stealing and a local fallback for
-	// anything no worker answers. Every probe is the same pure function
-	// wherever it runs, so the points' Period/Valid/Total are identical
-	// to a local sweep under every fault schedule. MinimalFeasiblePeriodOpt
-	// ignores Workers.
-	Workers []string
-	// DispatchStats, if non-nil, accumulates the coordinator's per-worker
-	// shard/retry/steal counters across distributed sweeps.
-	DispatchStats *dispatch.Stats
 	// Context, if non-nil, cancels the sweep cooperatively between
 	// periods; the typed error satisfies budget.ErrCanceled.
 	Context context.Context
 	// Deadline, if non-zero, bounds the sweep in wall-clock time; the
 	// typed error satisfies budget.ErrBudgetExceeded.
 	Deadline time.Time
-	// Cache is the period-verdict cache the distributed coordinator
-	// (Workers) records into and skips decided periods from. When nil,
-	// the process-wide probecache.Shared() entry under
-	// SweepKey(g, task, p) is used. Local sweeps and
-	// MinimalFeasiblePeriodOpt never read or write it: the closed form
-	// answers a period faster than a cache lookup.
-	Cache *probecache.Periods
-	// NoCache disables the coordinator's verdict cache entirely; it wins
-	// over Cache.
+	// NoCache is ignored: sweeps read and write no verdict store, since
+	// the closed form answers a period faster than a cache lookup. It is
+	// kept only because perfbench sets it; the next benchmark change
+	// removes it.
 	NoCache bool
 }
 
-// cache resolves the period-verdict cache the options select for graph g.
-func (o SweepOptions) cache(g *taskgraph.Graph, task string, p Policy) *probecache.Periods {
-	switch {
-	case o.NoCache:
-		return nil
-	case o.Cache != nil:
-		return o.Cache
-	default:
-		return probecache.Shared().Entry(SweepKey(g, task, p)).Periods()
-	}
-}
-
-// SweepKey returns the probecache fingerprint under which distributed
-// period sweeps of this (graph, constrained task, policy) triple share
-// verdicts.
+// SweepKey returns the probecache fingerprint of a period sweep of this
+// (graph, constrained task, policy) triple. No sweep uses it; it
+// is kept only because perfbench keys its period-verdict replay with it,
+// and the next benchmark change removes it.
 func SweepKey(g *taskgraph.Graph, task string, p Policy) string {
 	return probecache.GraphKey(g, "capacity-sweep", task, p.String())
 }
@@ -110,15 +80,10 @@ func SweepPeriodsOpt(g *taskgraph.Graph, task string, periods []ratio.Rat, p Pol
 
 // Sweep evaluates the curve at every period, in order, and returns the
 // trade-off points with a nil Result. The first failing period, in list
-// order, is reported as "capacity: period τ: …". With opts.Workers the
-// periods are sharded across remote workers instead, with this curve as
-// the coordinator's local fallback.
+// order, is reported as "capacity: period τ: …".
 func (c *Curve) Sweep(periods []ratio.Rat, opts SweepOptions) ([]SweepPoint, error) {
 	if len(periods) == 0 {
 		return nil, fmt.Errorf("capacity: empty period sweep")
-	}
-	if len(opts.Workers) > 0 {
-		return c.sweepDistributed(periods, opts)
 	}
 	bud := budget.At(opts.Context, opts.Deadline)
 	out := make([]SweepPoint, len(periods))

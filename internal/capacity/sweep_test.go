@@ -169,3 +169,44 @@ func TestSweepErrorDeterminism(t *testing.T) {
 		t.Fatalf("error mismatch:\nserial:   %v\nparallel: %v", serialErr, parErr)
 	}
 }
+
+// TestMinimalFeasiblePeriodMatchesLinearScan cross-checks the threshold
+// lookup against the exhaustive scan on seeded random chains.
+func TestMinimalFeasiblePeriodMatchesLinearScan(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		cfg := graphgen.Defaults(seed + 40)
+		g, c, err := graphgen.Random(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var periods []ratio.Rat
+		for k := int64(2); k < 18; k++ {
+			periods = append(periods, c.Period.MulInt(k).DivInt(8))
+		}
+		pts, err := SweepPeriods(g, c.Task, periods, PolicyEquation4)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var want *SweepPoint
+		for i := range pts {
+			if pts[i].Valid {
+				want = &pts[i]
+				break
+			}
+		}
+		got, err := MinimalFeasiblePeriod(g, c.Task, periods, PolicyEquation4)
+		if want == nil {
+			if err == nil {
+				t.Fatalf("seed %d: no candidate is feasible but search returned %v", seed, got.Period)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !got.Period.Equal(want.Period) || got.Total != want.Total {
+			t.Fatalf("seed %d: threshold lookup = (%v, %d), linear scan = (%v, %d)",
+				seed, got.Period, got.Total, want.Period, want.Total)
+		}
+	}
+}

@@ -1,20 +1,103 @@
-package capacity
+// Reuse and isolation tests for compiled sweep curves: a curve outlives a
+// canceled sweep, is shared safely by concurrent sweeps over disjoint
+// chunks of a period list, and a served sweep cannot be changed by
+// period verdicts planted in the service's verdict store. The external
+// test package breaks the capacity ← serve import cycle.
+package capacity_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"vrdfcap/internal/budget"
-	"vrdfcap/internal/graphgen"
+	"vrdfcap/internal/capacity"
+	"vrdfcap/internal/graphio"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/ratio"
+	"vrdfcap/internal/serve"
+	"vrdfcap/internal/taskgraph"
 )
+
+// pairDoc is the paper's Figure 1 producer-consumer pair.
+const pairDoc = `task a wcrt 1
+task b wcrt 1
+buffer a -> b prod 3 cons {2,3}
+constraint b period 3
+`
+
+func decodePair(t *testing.T) (*taskgraph.Graph, *taskgraph.Constraint) {
+	t.Helper()
+	g, c, err := graphio.DecodeAnyLimited([]byte(pairDoc), graphio.DefaultLimits)
+	if err != nil {
+		t.Fatalf("decode pair: %v", err)
+	}
+	if c == nil {
+		t.Fatal("pair document has no constraint")
+	}
+	return g, c
+}
+
+// pairGrid straddles the pair's feasibility frontier so a sweep mixes
+// infeasible and feasible verdicts.
+func pairGrid(n int) []ratio.Rat {
+	out := make([]ratio.Rat, n)
+	for i := range out {
+		out[i] = ratio.MustNew(int64(i+1), 4) // 1/4, 1/2, ..., upward through 3
+	}
+	return out
+}
+
+// pairCurve compiles the pair's Eq. (4) curve for task b.
+func pairCurve(t *testing.T) (*taskgraph.Graph, *capacity.Curve) {
+	t.Helper()
+	g, c := decodePair(t)
+	a, err := capacity.CompileAnalysis(g, c.Task, capacity.PolicyEquation4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := a.Curve()
+	if err := curve.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return g, curve
+}
+
+// coldSweep is the reference: a fresh compile and sweep of the pair.
+func coldSweep(t *testing.T, g *taskgraph.Graph, periods []ratio.Rat) []capacity.SweepPoint {
+	t.Helper()
+	pts, err := capacity.SweepPeriodsOpt(g, "b", periods, capacity.PolicyEquation4, capacity.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
+// mustMatchPoints compares two sweeps on the (period, valid, total)
+// triples — the identity surface; sweep points carry a nil Result.
+func mustMatchPoints(t *testing.T, got, want []capacity.SweepPoint) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d points, want %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if !w.Period.Equal(g.Period) || w.Valid != g.Valid || w.Total != g.Total {
+			t.Fatalf("point %d: got (%s valid=%v total=%d), want (%s valid=%v total=%d)",
+				i, g.Period, g.Valid, g.Total, w.Period, w.Valid, w.Total)
+		}
+	}
+}
 
 // countdownCtx is a context whose Err trips after a fixed number of budget
 // checks, so a sweep can be canceled deterministically mid-flight — after
-// some periods have been analysed and recorded, but before all of them.
+// some periods have been evaluated, but before all of them.
 type countdownCtx struct {
 	context.Context
 	remaining atomic.Int64
@@ -34,142 +117,189 @@ func (c *countdownCtx) Err() error {
 }
 
 func (c *countdownCtx) Done() <-chan struct{} {
-	// The sweep's budget checks use Err, not Done; an always-open channel
-	// keeps parallel.Map's select from racing ahead of the countdown.
+	// The sweep's budget checks use Err, not Done.
 	return nil
 }
 
-// TestSweepCanceledWarmCacheReusable pins cancellation against a cache:
-// a sweep canceled mid-flight returns the typed error and leaves the
-// verdict cache exactly as it found it (sweeps never write it), and a later
-// sweep and minimal-period search over the same options return exactly
-// what a cold run returns.
+// TestSweepCanceledWarmCacheReusable pins cancellation against a warm
+// compiled curve: a sweep canceled mid-flight returns the typed error and
+// no points, and later sweeps and minimal-period searches on the same
+// curve and graph return exactly what a cold run returns.
 func TestSweepCanceledWarmCacheReusable(t *testing.T) {
-	g := sweepPair(t)
-	periods := sweepPeriodList()
-	cache := probecache.NewPeriods()
+	g, curve := pairCurve(t)
+	periods := pairGrid(64)
 
-	_, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4,
-		SweepOptions{Parallel: 1, Context: newCountdownCtx(17), Cache: cache})
+	pts, err := curve.Sweep(periods, capacity.SweepOptions{Context: newCountdownCtx(17)})
 	if !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("canceled sweep recorded %d verdicts, want none", n)
+	if pts != nil {
+		t.Fatalf("canceled sweep returned %d points, want none", len(pts))
 	}
 
-	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
+	cold := coldSweep(t, g, periods)
+	warm, err := curve.Sweep(periods, capacity.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
+	mustMatchPoints(t, warm, cold)
+
+	if _, err := capacity.MinimalFeasiblePeriodOpt(g, "b", periods, capacity.PolicyEquation4,
+		capacity.SweepOptions{Context: newCountdownCtx(3)}); !errors.Is(err, budget.ErrCanceled) {
+		t.Fatalf("minimal period: err = %v, want ErrCanceled", err)
+	}
+	got, err := capacity.MinimalFeasiblePeriodOpt(g, "b", periods, capacity.PolicyEquation4, capacity.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want *capacity.SweepPoint
 	for i := range cold {
-		if cold[i].Valid != warm[i].Valid || cold[i].Total != warm[i].Total {
-			t.Errorf("point %d diverged after cancel+resume: %+v vs %+v", i, cold[i], warm[i])
+		if cold[i].Valid {
+			want = &cold[i]
+			break
 		}
 	}
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("sweep recorded %d verdicts, want none", n)
+	if want == nil {
+		t.Fatal("no feasible period in the grid")
 	}
-
-	wantPt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPt, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotPt.Period.Equal(wantPt.Period) || gotPt.Total != wantPt.Total {
-		t.Errorf("minimal period with a cache = (%v, %d), want (%v, %d)",
-			gotPt.Period, gotPt.Total, wantPt.Period, wantPt.Total)
-	}
-}
-
-// TestMinimalFeasiblePeriodMatchesLinearScan cross-checks the threshold
-// lookup against the exhaustive scan on seeded random chains, with and
-// without a cache in the options.
-func TestMinimalFeasiblePeriodMatchesLinearScan(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		cfg := graphgen.Defaults(seed + 40)
-		g, c, err := graphgen.Random(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		var periods []ratio.Rat
-		for k := int64(2); k < 18; k++ {
-			periods = append(periods, c.Period.MulInt(k).DivInt(8))
-		}
-		pts, err := SweepPeriodsOpt(g, c.Task, periods, PolicyEquation4, SweepOptions{NoCache: true})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		var want *SweepPoint
-		for i := range pts {
-			if pts[i].Valid {
-				want = &pts[i]
-				break
-			}
-		}
-		for _, opts := range []SweepOptions{{NoCache: true}, {Cache: probecache.NewPeriods()}} {
-			got, err := MinimalFeasiblePeriodOpt(g, c.Task, periods, PolicyEquation4, opts)
-			if want == nil {
-				if err == nil {
-					t.Fatalf("seed %d: no candidate is feasible but search returned %v", seed, got.Period)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if !got.Period.Equal(want.Period) || got.Total != want.Total {
-				t.Fatalf("seed %d: threshold lookup = (%v, %d), linear scan = (%v, %d)",
-					seed, got.Period, got.Total, want.Period, want.Total)
-			}
-		}
+	if !got.Period.Equal(want.Period) || got.Total != want.Total {
+		t.Errorf("minimal period after a canceled search = (%v, %d), want (%v, %d)",
+			got.Period, got.Total, want.Period, want.Total)
 	}
 }
 
 // TestSweepIgnoresPoisonedCache pins that a period-verdict cache cannot
-// change a sweep's points: wrong verdicts planted for every period leave
-// the curve and the minimal feasible period exactly as a cache-less run
-// computes them, and the sweep leaves the planted verdicts alone.
+// change a served sweep: wrong verdicts planted for every period in the
+// service's store, under the sweep's own key (capacity.SweepKey), leave
+// /v1/sweep answering exactly the cold local curve, and the sweep leaves
+// the planted verdicts and the store's entry count alone.
 func TestSweepIgnoresPoisonedCache(t *testing.T) {
-	g := sweepPair(t)
-	periods := sweepPeriodList()
-	cold, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := probecache.NewPeriods()
-	for _, pt := range cold {
-		cache.Insert(pt.Period, probecache.Verdict{Valid: !pt.Valid, Total: -1})
-	}
+	g, _ := decodePair(t)
+	periods := pairGrid(64)
+	cold := coldSweep(t, g, periods)
 
-	pts, err := SweepPeriodsOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
-	if err != nil {
+	store := probecache.NewStore("")
+	planted := store.Entry(capacity.SweepKey(g, "b", capacity.PolicyEquation4)).Periods()
+	for _, pt := range cold {
+		planted.Insert(pt.Period, probecache.Verdict{Valid: !pt.Valid, Total: -1})
+	}
+	entries := store.Stats().Entries
+
+	s := serve.New(serve.Config{Store: store})
+	t.Cleanup(s.Close)
+	parts := make([]string, len(periods))
+	for i, p := range periods {
+		parts[i] = p.String()
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+		"/v1/sweep?periods="+strings.Join(parts, ","), strings.NewReader(pairDoc)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/sweep: status %d (%s)", rec.Code, rec.Body.Bytes())
+	}
+	var resp struct {
+		Points []struct {
+			Period string `json:"period"`
+			Valid  bool   `json:"valid"`
+			Total  int64  `json:"total"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	for i := range cold {
-		if cold[i].Valid != pts[i].Valid || cold[i].Total != pts[i].Total {
-			t.Errorf("point %d poisoned: %+v vs %+v", i, pts[i], cold[i])
+	if len(resp.Points) != len(cold) {
+		t.Fatalf("served %d points, want %d", len(resp.Points), len(cold))
+	}
+	for i, pt := range resp.Points {
+		if pt.Period != cold[i].Period.String() || pt.Valid != cold[i].Valid || pt.Total != cold[i].Total {
+			t.Errorf("point %d poisoned: served %+v, cold %+v", i, pt, cold[i])
 		}
 	}
-	want, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MinimalFeasiblePeriodOpt(g, "wb", periods, PolicyEquation4, SweepOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Period.Equal(want.Period) || got.Total != want.Total {
-		t.Errorf("poisoned minimal period = (%v, %d), want (%v, %d)", got.Period, got.Total, want.Period, want.Total)
-	}
-	if v, ok := cache.Lookup(periods[10]); !ok || v.Total != -1 {
+
+	if v, ok := planted.Lookup(periods[10]); !ok || v.Total != -1 {
 		t.Errorf("sweep rewrote a planted verdict: %+v, %v", v, ok)
 	}
+	if got := store.Stats().Entries; got != entries {
+		t.Errorf("sweep changed the store from %d to %d entries", entries, got)
+	}
+}
+
+// sweepChunks distributes periods over n goroutines in contiguous chunks,
+// all evaluating the one shared curve; opts returns each chunk's options.
+// It returns every chunk's points and error, in chunk order.
+func sweepChunks(curve *capacity.Curve, periods []ratio.Rat, n int,
+	opts func(chunk int) capacity.SweepOptions) ([][]capacity.SweepPoint, []error, [][]ratio.Rat) {
+	chunks := make([][]ratio.Rat, n)
+	for i := range chunks {
+		chunks[i] = periods[i*len(periods)/n : (i+1)*len(periods)/n]
+	}
+	pts := make([][]capacity.SweepPoint, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range chunks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pts[i], errs[i] = curve.Sweep(chunks[i], opts(i))
+		}(i)
+	}
+	wg.Wait()
+	return pts, errs, chunks
+}
+
+// TestDistributedSweepMatchesLocal pins that a compiled curve is safe to
+// share: a sweep distributed over three goroutines, each evaluating a
+// contiguous chunk of the periods on the same curve, folds to exactly the
+// single serial sweep.
+func TestDistributedSweepMatchesLocal(t *testing.T) {
+	g, curve := pairCurve(t)
+	periods := pairGrid(96)
+	pts, errs, _ := sweepChunks(curve, periods, 3, func(int) capacity.SweepOptions {
+		return capacity.SweepOptions{}
+	})
+	var folded []capacity.SweepPoint
+	for i := range pts {
+		if errs[i] != nil {
+			t.Fatalf("chunk %d: %v", i, errs[i])
+		}
+		folded = append(folded, pts[i]...)
+	}
+	mustMatchPoints(t, folded, coldSweep(t, g, periods))
+}
+
+// TestDistributedSweepWorkerKilledMidSweep pins that canceling one of
+// several concurrent sweeps of a shared curve mid-flight affects only that
+// sweep: the other chunks complete, the canceled one returns the typed
+// error and no points, and re-sweeping it folds to the serial result.
+func TestDistributedSweepWorkerKilledMidSweep(t *testing.T) {
+	g, curve := pairCurve(t)
+	periods := pairGrid(96)
+	const killed = 1
+	pts, errs, chunks := sweepChunks(curve, periods, 3, func(i int) capacity.SweepOptions {
+		if i == killed {
+			return capacity.SweepOptions{Context: newCountdownCtx(5)}
+		}
+		return capacity.SweepOptions{}
+	})
+	for i := range pts {
+		if i == killed {
+			if !errors.Is(errs[i], budget.ErrCanceled) || pts[i] != nil {
+				t.Fatalf("killed chunk: %d points, err = %v; want none and ErrCanceled", len(pts[i]), errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Fatalf("chunk %d: %v", i, errs[i])
+		}
+	}
+	retry, err := curve.Sweep(chunks[killed], capacity.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts[killed] = retry
+	var folded []capacity.SweepPoint
+	for _, p := range pts {
+		folded = append(folded, p...)
+	}
+	mustMatchPoints(t, folded, coldSweep(t, g, periods))
 }

@@ -25,6 +25,12 @@ type Verdict struct {
 // answers exact repeats only (the Total is period-specific and not
 // monotone-derivable).
 //
+// No analysis reads or writes it: sweeps evaluate the closed form
+// (capacity.Curve), which answers a period faster than a lookup. Stores
+// still load and merge the period records of existing cache files, and
+// perfbench's layered replay still records into it; the next benchmark
+// change removes it.
+//
 // Safe for concurrent use.
 type Periods struct {
 	mu       sync.Mutex

@@ -66,10 +66,9 @@ func NewStoreBackend(b cachestore.Backend) *Store {
 
 var shared = NewStore("")
 
-// Shared returns the process-wide in-memory store. Sweeps default to it so
-// that repeated probes of the same graph within one process — for example
-// a SweepPeriods followed by a MinimalFeasiblePeriod binary search — share
-// verdicts without any caller plumbing.
+// Shared returns the process-wide in-memory store. Minimizations default
+// to it so that repeated probes of the same problem within one process
+// share verdicts without any caller plumbing.
 func Shared() *Store { return shared }
 
 // Dir returns the backing directory when the store persists to a local

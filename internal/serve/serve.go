@@ -49,7 +49,6 @@ import (
 	"vrdfcap/internal/budget"
 	"vrdfcap/internal/cachestore"
 	"vrdfcap/internal/capacity"
-	"vrdfcap/internal/dispatch"
 	"vrdfcap/internal/faults"
 	"vrdfcap/internal/graphio"
 	"vrdfcap/internal/minimize"
@@ -77,13 +76,6 @@ type Config struct {
 	// curve (≤0: 1; cross-request parallelism comes from Workers). Sweeps
 	// evaluate the closed form serially.
 	SearchWorkers int
-	// SweepWorkers, when non-empty, lists remote vrdfserve base URLs that
-	// /v1/sweep requests are sharded across through the internal/dispatch
-	// coordinator (vrdfserve -workers). The /v1/probe batches the
-	// coordinator issues always compute locally, so a fleet whose members
-	// list each other can never recurse. Per-worker effort appears under
-	// "dispatch" on /statsz.
-	SweepWorkers []string
 	// Firings is the default simulation horizon for minimize and
 	// degradation requests (≤0: 1000); MaxFirings caps the per-request
 	// override (≤0: 200000).
@@ -109,7 +101,7 @@ type Config struct {
 	AccessLog io.Writer
 	// Store holds feasibility verdicts across requests and processes
 	// (nil: probecache.Shared()). Only minimizations record into it;
-	// sweeps and probes leave it untouched.
+	// sweeps leave it untouched.
 	Store *probecache.Store
 	// CacheBackend, when non-nil, is served under /v1/cache/ so a fleet
 	// of replicas can pool verdict payloads through this process
@@ -181,7 +173,6 @@ const (
 	pathMinimize
 	pathSweep
 	pathDegradation
-	pathProbe
 	pathHealthz
 	pathStatsz
 )
@@ -205,7 +196,6 @@ type Server struct {
 	ring     *ring
 	cache    http.Handler // /v1/cache endpoints; nil when no CacheBackend
 	stats    serverStats
-	dispatch dispatch.Stats // coordinator effort when SweepWorkers fan out
 	baseCtx  context.Context
 	cancel   context.CancelFunc
 	logDone  chan struct{}
@@ -213,16 +203,14 @@ type Server struct {
 
 // serverStats holds the monotone counters behind /statsz.
 type serverStats struct {
-	requests     atomic.Int64
-	hits         atomic.Int64
-	coalesced    atomic.Int64
-	computes     atomic.Int64
-	rejected     atomic.Int64
-	errors       atomic.Int64
-	cacheOps     atomic.Int64
-	probeBatches atomic.Int64
-	probePeriods atomic.Int64
-	probes       minimize.ProbeStats
+	requests  atomic.Int64
+	hits      atomic.Int64
+	coalesced atomic.Int64
+	computes  atomic.Int64
+	rejected  atomic.Int64
+	errors    atomic.Int64
+	cacheOps  atomic.Int64
+	probes    minimize.ProbeStats
 }
 
 // New returns a started server: the worker pool and the access-log drain
@@ -363,8 +351,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		pathID = pathSweep
 	case "/v1/degradation":
 		pathID = pathDegradation
-	case dispatch.ProbePath:
-		pathID = pathProbe
 	case "/healthz":
 		s.serveHealthz(w)
 		return
@@ -561,7 +547,7 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 			return s.runMinimize(ctx, deadline, fp, g, sized, res, con, policy, firings, seed)
 		}}, nil
 
-	case pathSweep, pathProbe:
+	case pathSweep:
 		periods, joined, err := s.sweepParams(q)
 		if err != nil {
 			return nil, err
@@ -576,36 +562,10 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 		if err := curve.Err(); err != nil {
 			return nil, badReq(err)
 		}
-		if pathID == pathProbe {
-			key := probecache.GraphKey(g, "serve-probe",
-				"task="+con.Task, "policy="+policy.String(), "periods="+joined)
-			return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
-				// A probe batch ALWAYS computes locally — never through
-				// SweepWorkers — so a fleet whose members list each other
-				// as workers can never recurse.
-				pts, err := curve.Sweep(periods, capacity.SweepOptions{Context: ctx, Deadline: deadline})
-				if err != nil {
-					return nil, err
-				}
-				s.stats.probeBatches.Add(1)
-				s.stats.probePeriods.Add(int64(len(pts)))
-				return probeResponseOf(con.Task, policy, pts), nil
-			}}, nil
-		}
 		key := probecache.GraphKey(g, "serve-sweep",
 			"task="+con.Task, "policy="+policy.String(), "periods="+joined)
 		return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
-			pts, err := curve.Sweep(periods, capacity.SweepOptions{
-				// Coordinator mode: with -workers configured this server
-				// shards the sweep across the fleet instead of computing it.
-				Workers:       s.cfg.SweepWorkers,
-				DispatchStats: &s.dispatch,
-				Context:       ctx,
-				Deadline:      deadline,
-				// Only the coordinator consults a verdict cache; without
-				// one, no sweep leaves a store entry behind.
-				NoCache: true,
-			})
+			pts, err := curve.Sweep(periods, capacity.SweepOptions{Context: ctx, Deadline: deadline})
 			if err != nil {
 				return nil, err
 			}
@@ -894,31 +854,6 @@ func sweepResponseOf(task string, policy capacity.Policy, pts []capacity.SweepPo
 	return out
 }
 
-// probeVerdict and probeResponse are the /v1/probe wire shapes, decoded by
-// dispatch.HTTPProber; verdicts echo the requested periods in order so the
-// coordinator can reject a confused answer.
-type probeVerdict struct {
-	Period string `json:"period"`
-	Valid  bool   `json:"valid"`
-	Total  int64  `json:"total"`
-}
-
-type probeResponse struct {
-	Task     string         `json:"task"`
-	Policy   string         `json:"policy"`
-	Verdicts []probeVerdict `json:"verdicts"`
-}
-
-func probeResponseOf(task string, policy capacity.Policy, pts []capacity.SweepPoint) probeResponse {
-	out := probeResponse{Task: task, Policy: policy.String()}
-	for _, pt := range pts {
-		out.Verdicts = append(out.Verdicts, probeVerdict{
-			Period: pt.Period.String(), Valid: pt.Valid, Total: pt.Total,
-		})
-	}
-	return out
-}
-
 type degradationPoint struct {
 	Factor string `json:"factor"`
 	OK     bool   `json:"ok"`
@@ -1048,13 +983,6 @@ type Stats struct {
 	StoreDemotions   int64  `json:"storeDemotions,omitempty"`
 	StoreBreakerOpen bool   `json:"storeBreakerOpen,omitempty"`
 	StoreRetries     int64  `json:"storeRetries,omitempty"`
-	// ProbeBatches/ProbePeriods count /v1/probe work answered FOR a remote
-	// coordinator; Dispatch reports the work this server farmed OUT as a
-	// coordinator (per-worker shard/retry/steal counts; present once a
-	// distributed sweep ran).
-	ProbeBatches int64              `json:"probeBatches,omitempty"`
-	ProbePeriods int64              `json:"probePeriods,omitempty"`
-	Dispatch     *dispatch.Snapshot `json:"dispatch,omitempty"`
 }
 
 // StatsSnapshot returns the current counters.
@@ -1083,11 +1011,6 @@ func (s *Server) StatsSnapshot() Stats {
 		st.StoreDemotions = cs.Resilience.Demotions
 		st.StoreBreakerOpen = cs.Resilience.BreakerOpen
 		st.StoreRetries = cs.Resilience.Retries
-	}
-	st.ProbeBatches = s.stats.probeBatches.Load()
-	st.ProbePeriods = s.stats.probePeriods.Load()
-	if dn := s.dispatch.Snapshot(); dn.Sweeps > 0 {
-		st.Dispatch = &dn
 	}
 	return st
 }
@@ -1125,7 +1048,7 @@ func (s *Server) drainLog() {
 }
 
 // pathNames maps path ids back to endpoint names for the access log.
-var pathNames = [...]string{"size", "minimize", "sweep", "degradation", "probe", "healthz", "statsz"}
+var pathNames = [...]string{"size", "minimize", "sweep", "degradation", "healthz", "statsz"}
 
 var kindNames = [...]string{"hit", "compute", "coalesced", "error"}
 

@@ -264,6 +264,7 @@ func TestErrorMapping(t *testing.T) {
 		want             int
 	}{
 		{"unknown path", "/v2/size", pairDoc, http.StatusNotFound},
+		{"removed probe endpoint", "/v1/probe?periods=3", pairDoc, http.StatusNotFound},
 		{"bad document", "/v1/size", "task ???", http.StatusBadRequest},
 		{"no constraint", "/v1/size", "task a wcrt 1\ntask b wcrt 1\nbuffer a -> b prod 1 cons 1", http.StatusBadRequest},
 		{"bad policy", "/v1/size?policy=nope", pairDoc, http.StatusBadRequest},

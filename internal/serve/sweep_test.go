@@ -91,7 +91,7 @@ func TestOverflowChainAnswered(t *testing.T) {
 }
 
 // TestSweepsLeaveStoreUntouched is the regression test for verdict-store
-// growth: distinct sweeps and probes must not add entries to the store,
+// growth: distinct sweeps must not add entries to the store,
 // which lives as long as the process and never evicts.
 func TestSweepsLeaveStoreUntouched(t *testing.T) {
 	store := probecache.NewStore("")
@@ -107,14 +107,12 @@ func TestSweepsLeaveStoreUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		periods := []ratio.Rat{con.Period.DivInt(2), con.Period, con.Period.MulInt(2)}
-		for _, path := range []string{"/v1/sweep", "/v1/probe"} {
-			if status, body := serveDirect(s, http.MethodPost, path+"?periods="+periodList(periods), doc); status != http.StatusOK {
-				t.Fatalf("%s %d: status %d (%s)", path, i, status, body)
-			}
+		if status, body := serveDirect(s, http.MethodPost, "/v1/sweep?periods="+periodList(periods), doc); status != http.StatusOK {
+			t.Fatalf("sweep %d: status %d (%s)", i, status, body)
 		}
 	}
 	if after := store.Stats().Entries; after != before {
-		t.Fatalf("16 distinct sweeps and probes grew the verdict store from %d to %d entries", before, after)
+		t.Fatalf("16 distinct sweeps grew the verdict store from %d to %d entries", before, after)
 	}
 }
 
