@@ -219,7 +219,9 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 
 // ThroughputCheck returns a CheckFunc that accepts an assignment when
 // sim.VerifyThroughput succeeds for every given workload. The per-workload
-// verifications run concurrently on up to Options.Workers goroutines.
+// verifications run concurrently on up to Options.Workers goroutines. A
+// verification that fails after a phase hit Options.MaxEvents is an error,
+// not an infeasible verdict.
 //
 // Each worker reuses a compiled sim.Verifier per workload across probes,
 // so a probe re-runs the two verification phases without re-validating or
@@ -263,6 +265,12 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 				o.Stats.ColdResets.Add(int64(cold))
 			}
 			pools[i].put(vf)
+			if !v.OK && v.LimitExceeded {
+				// Like feasibleOutcome: a phase cut short by the runaway
+				// guard is no evidence of infeasibility, and recording it
+				// as such would poison the (possibly shared) frontier.
+				return false, fmt.Errorf("minimize: throughput verification hit the MaxEvents guard (%s), which says nothing about capacity feasibility", v.Reason)
+			}
 			return v.OK, nil
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vrdfcap/internal/graphgen"
+	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/quanta"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/sim"
@@ -182,6 +183,57 @@ func TestMaxEventsIsErrorNotInfeasible(t *testing.T) {
 	}
 	if _, serr := Search([]string{buf}, map[string]int64{buf: 20}, check); serr == nil {
 		t.Error("Search swallowed the truncated-simulation error")
+	}
+}
+
+// TestThroughputMaxEventsIsErrorNotInfeasible is the throughput-check twin
+// of TestMaxEventsIsErrorNotInfeasible: a verification whose self-timed or
+// periodic phase is cut short by MaxEvents must surface as an error, and a
+// search hitting it must leave the shared frontier empty rather than record
+// the assignment as infeasible.
+func TestThroughputMaxEventsIsErrorNotInfeasible(t *testing.T) {
+	g := figure1Graph(t)
+	c := taskgraph.Constraint{Task: "wb", Period: r(3, 1)}
+	workloads := []sim.Workloads{{buf: {Cons: quanta.Constant(3)}}}
+	sized := g.Clone()
+	sized.BufferByName(buf).Capacity = 20
+	full, err := sim.VerifyThroughput(sized, c, sim.VerifyOptions{Firings: 200, Workloads: workloads[0]})
+	if err != nil || !full.OK {
+		t.Fatalf("unguarded verification: %+v, %v", full, err)
+	}
+	// The periodic phase also pops one start event per constrained
+	// firing, so a cap of exactly the self-timed event count lets the
+	// first phase complete and cuts the second short.
+	if full.Periodic.Events <= full.SelfTimed.Events {
+		t.Fatalf("periodic phase ran %d events, self-timed %d; need more to cut only the periodic phase",
+			full.Periodic.Events, full.SelfTimed.Events)
+	}
+	for _, tc := range []struct {
+		phase     string
+		maxEvents int64
+	}{
+		{"self-timed", 5},
+		{"periodic", full.SelfTimed.Events},
+	} {
+		t.Run(tc.phase, func(t *testing.T) {
+			frontier := probecache.NewFrontier([]string{buf})
+			opts := Options{Workers: 1, MaxEvents: tc.maxEvents, Cache: frontier}
+			check := ThroughputCheck(g, c, 200, workloads, opts)
+			ok, err := check(map[string]int64{buf: 20})
+			if err == nil {
+				t.Fatalf("truncated %s phase reported (%v, nil); want an error", tc.phase, ok)
+			}
+			if !strings.Contains(err.Error(), tc.phase+" phase") ||
+				!strings.Contains(err.Error(), "says nothing about capacity feasibility") {
+				t.Errorf("unexpected error text: %v", err)
+			}
+			if _, serr := Search([]string{buf}, map[string]int64{buf: 20}, check, opts); serr == nil {
+				t.Error("Search swallowed the truncated-verification error")
+			}
+			if feas, infeas := frontier.Size(); feas != 0 || infeas != 0 {
+				t.Errorf("frontier recorded %d feasible / %d infeasible verdicts from truncated runs", feas, infeas)
+			}
+		})
 	}
 }
 

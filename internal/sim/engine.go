@@ -319,6 +319,23 @@ func Run(cfg Config) (*Result, error) {
 type portRef struct {
 	edge *edgeState
 	seq  quanta.Sequence
+	// memoK/memoN hold the port's last read, seq.At(memoK) == memoN:
+	// enabled re-checks a firing on every token arrival and start reads
+	// it once more. Sequences are pure, so the entry survives Reset,
+	// ResetWarm and Restore; memoK is -1 before the first read.
+	memoK int64
+	memoN int64
+}
+
+// quantum returns seq.At(k), evaluating the sequence at most once per
+// firing index in a row.
+//
+//vrdf:noalloc
+func (p *portRef) quantum(k int64) int64 {
+	if p.memoK != k {
+		p.memoK, p.memoN = k, p.seq.At(k)
+	}
+	return p.memoN
 }
 
 type actorState struct {
@@ -678,8 +695,8 @@ func Compile(cfg Config) (*Machine, error) {
 		src := m.byName[ge.Src]
 		dst := m.byName[ge.Dst]
 		es.consumer = dst.idx
-		src.out = append(src.out, portRef{edge: es, seq: prod})
-		dst.in = append(dst.in, portRef{edge: es, seq: cons})
+		src.out = append(src.out, portRef{edge: es, seq: prod, memoK: -1})
+		dst.in = append(dst.in, portRef{edge: es, seq: cons, memoK: -1})
 	}
 
 	if cfg.CheckInvariants {
@@ -877,7 +894,7 @@ func (a *actorState) enabled() (ok bool, lacking *portRef, need int64) {
 	k := a.started
 	for i := range a.in {
 		p := &a.in[i]
-		n := p.seq.At(k)
+		n := p.quantum(k)
 		if p.edge.tokens < n {
 			return false, p, n
 		}
@@ -891,7 +908,7 @@ func (m *Machine) start(a *actorState, t int64) error {
 	k := a.started
 	for i := range a.in {
 		p := &a.in[i]
-		n := p.seq.At(k)
+		n := p.quantum(k)
 		if n > 0 {
 			p.edge.consumed += n
 			if p.edge.record {
@@ -938,7 +955,7 @@ func (m *Machine) finish(a *actorState, t int64) {
 	k := a.finished
 	for i := range a.out {
 		p := &a.out[i]
-		n := p.seq.At(k)
+		n := p.quantum(k)
 		if n > 0 {
 			p.edge.tokens += n
 			p.edge.produced += n

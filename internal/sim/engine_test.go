@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"vrdfcap/internal/quanta"
@@ -559,5 +560,90 @@ func TestBusyTicksUtilisation(t *testing.T) {
 	}
 	if res.BusyTicks["wa"] > res.EndTick {
 		t.Error("busy time exceeds run length for a serial actor")
+	}
+}
+
+// countingSeq counts how often each firing's quantum is read.
+type countingSeq struct {
+	seq   quanta.Sequence
+	calls map[int64]int
+}
+
+func (c *countingSeq) At(k int64) int64 {
+	c.calls[k]++
+	return c.seq.At(k)
+}
+
+// TestPortQuantumReadOncePerFiring pins the per-port quantum memo: a firing
+// whose enabling is re-checked on every token arrival (the consumer needs 2
+// or 3 tokens, the producer delivers 1 per firing) and then started still
+// reads each port's sequence once per firing index, in self-timed and
+// periodic runs and again after Reset.
+func TestPortQuantumReadOncePerFiring(t *testing.T) {
+	tg, err := taskgraph.Pair("wa", r(1, 1), "wb", r(1, 1),
+		taskgraph.MustQuanta(1), taskgraph.MustQuanta(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg.Buffers()[0].Capacity = 6
+	for _, periodic := range []bool{false, true} {
+		cfg, m, err := TaskGraphConfig(tg, Workloads{"wa->wb": {Cons: quanta.Cycle(2, 3)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, _ := m.Pair("wa->wb")
+		ports := map[string]*countingSeq{}
+		count := func(name string, seq quanta.Sequence) quanta.Sequence {
+			c := &countingSeq{seq: seq}
+			ports[name] = c
+			return c
+		}
+		cfg.Quanta[pair.Data] = EdgeQuanta{
+			Prod: count("wa data out", quanta.Constant(1)),
+			Cons: count("wb data in", quanta.Cycle(2, 3)),
+		}
+		cfg.Quanta[pair.Space] = EdgeQuanta{
+			Prod: count("wb space out", quanta.Cycle(2, 3)),
+			Cons: count("wa space in", quanta.Constant(1)),
+		}
+		cfg.Stop = Stop{Actor: "wb", Firings: 60}
+		if periodic {
+			cfg.Actors = map[string]ActorConfig{"wb": {Mode: Periodic, Offset: r(10, 1), Period: r(3, 1)}}
+		}
+		mach, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *Result
+		for run := 0; run < 2; run++ {
+			for _, c := range ports {
+				c.calls = map[int64]int{}
+			}
+			if err := mach.Reset(nil); err != nil {
+				t.Fatal(err)
+			}
+			res, err := mach.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outcome != Completed {
+				t.Fatalf("periodic=%v run %d: outcome %v", periodic, run, res.Outcome)
+			}
+			if first == nil {
+				first = res
+			} else if !reflect.DeepEqual(first, res) {
+				t.Fatalf("periodic=%v: rerun after Reset diverged", periodic)
+			}
+			for name, c := range ports {
+				if len(c.calls) < 60 {
+					t.Errorf("periodic=%v run %d: %s read %d firings, want ≥ 60", periodic, run, name, len(c.calls))
+				}
+				for k, n := range c.calls {
+					if n != 1 {
+						t.Errorf("periodic=%v run %d: %s read firing %d's quantum %d times, want 1", periodic, run, name, k, n)
+					}
+				}
+			}
+		}
 	}
 }

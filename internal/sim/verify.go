@@ -140,6 +140,10 @@ type Verification struct {
 	// OK reports whether the strictly periodic schedule ran to the
 	// requested horizon without underrun.
 	OK bool
+	// LimitExceeded reports that some phase run hit VerifyOptions.MaxEvents.
+	// A failed verification with LimitExceeded set says nothing about the
+	// capacities: the run that would have decided it was cut short.
+	LimitExceeded bool
 	// Reason explains a failure in one line.
 	Reason string
 	// Underrun carries the structured diagnostic of the failing phase
@@ -385,6 +389,15 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 // compiled machines), all others keep the capacity they were compiled
 // with. Verify(nil) checks the graph as compiled. Results are bit-identical
 // to VerifyThroughput on an equivalently sized graph.
+//
+// The periodic phase tries VerifyOptions.Offsets in order, then the
+// dominating offset base = MaxLateness of the self-timed starts, then
+// base + {1, 10, 100}·τ. It stops at the first offset that completes, and
+// at the first underrun at an offset ≥ base: past base the periodic phase
+// is invariant under offset shifts (DESIGN.md §8), so no larger offset can
+// pass. A failing Verification therefore reports the underrun at the
+// first such offset, normally base itself. Deadlocked and LimitExceeded
+// attempts move on to the next offset.
 func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	ov, err := vf.overrides(caps)
 	if err != nil {
@@ -407,6 +420,7 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	vf.noteRun(selfTimed.Events, resumed)
 	v := &Verification{SelfTimed: selfTimed}
 	if selfTimed.Outcome != Completed {
+		v.LimitExceeded = selfTimed.Outcome == LimitExceeded
 		v.Reason = fmt.Sprintf("self-timed phase %s", selfTimed.Outcome)
 		if selfTimed.Deadlock != nil {
 			v.Reason += fmt.Sprintf(" at tick %d", selfTimed.Deadlock.Tick)
@@ -423,13 +437,14 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 	// schedule with *some* offset must exist. Try caller-supplied
 	// offsets (e.g. the analytic anchoring) first, then the smallest
 	// offset that dominates the self-timed schedule, then grow the
-	// slack; a sizing that underruns even with generous slack is
-	// insufficient.
+	// slack. Past base the periodic phase is a time shift of itself
+	// (DESIGN.md §8), so an underrun there decides the verification;
+	// the slack attempts only follow a deadlock or a runaway guard.
 	offsetTicks := append([]int64(nil), vf.fixedOffsets...)
 	for _, slack := range []int64{0, 1, 10, 100} {
 		offsetTicks = append(offsetTicks, base+slack*vf.periodTicks)
 	}
-	//vrdf:unbudgeted(at most len fixedOffsets plus four attempts; each Run enforces the machine budget)
+	//vrdf:unbudgeted(at most len fixedOffsets plus four attempts, and the first underrun at an offset ≥ base ends the loop; each Run enforces the machine budget)
 	for _, ot := range offsetTicks {
 		v.Attempts++
 		v.OffsetTicks = ot
@@ -459,7 +474,11 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 			return v, nil
 		case Underrun:
 			v.Reason = periodic.Underrun.String()
+			if ot >= base {
+				return v, nil
+			}
 		default:
+			v.LimitExceeded = v.LimitExceeded || periodic.Outcome == LimitExceeded
 			v.Reason = fmt.Sprintf("periodic phase %s", periodic.Outcome)
 		}
 	}
