@@ -218,16 +218,17 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 }
 
 // ThroughputCheck returns a CheckFunc that accepts an assignment when
-// sim.VerifyThroughput succeeds for every given workload. The per-workload
-// verifications run concurrently on up to Options.Workers goroutines. A
-// verification that fails after a phase hit Options.MaxEvents is an error,
-// not an infeasible verdict.
+// sim.VerifyThroughput succeeds for every given workload, deciding each
+// with sim.Verifier.Feasible: one simulation per workload instead of
+// Verify's two phases, with the same verdict. The per-workload checks run
+// concurrently on up to Options.Workers goroutines. A run cut short by
+// Options.MaxEvents is an error, not an infeasible verdict.
 //
 // Each worker reuses a compiled sim.Verifier per workload across probes,
-// so a probe re-runs the two verification phases without re-validating or
-// rebuilding the graph. With Options.Checkpoints set the phase machines
-// warm-start between probes; the LIFO pools give each worker back the
-// verifier it used last so its checkpoints match the previous probe.
+// so a probe re-runs the simulation without re-validating or rebuilding the
+// graph. With Options.Checkpoints set the machines warm-start between
+// probes; the LIFO pools give each worker back the verifier it used last so
+// its checkpoints match the previous probe.
 func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads, opts ...Options) CheckFunc {
 	o := optOf(opts)
 	tpl := &probeTemplate{base: g}
@@ -253,8 +254,9 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 					return false, err
 				}
 			}
-			v, err := vf.Verify(caps)
-			if err != nil {
+			ok, err := vf.Feasible(caps)
+			limited := errors.Is(err, sim.ErrLimitExceeded)
+			if err != nil && !limited {
 				return false, err
 			}
 			if o.Stats != nil {
@@ -265,13 +267,13 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 				o.Stats.ColdResets.Add(int64(cold))
 			}
 			pools[i].put(vf)
-			if !v.OK && v.LimitExceeded {
-				// Like feasibleOutcome: a phase cut short by the runaway
+			if limited {
+				// Like feasibleOutcome: a run cut short by the runaway
 				// guard is no evidence of infeasibility, and recording it
 				// as such would poison the (possibly shared) frontier.
-				return false, fmt.Errorf("minimize: throughput verification hit the MaxEvents guard (%s), which says nothing about capacity feasibility", v.Reason)
+				return false, fmt.Errorf("minimize: throughput verification: %w, which says nothing about capacity feasibility", err)
 			}
-			return v.OK, nil
+			return ok, nil
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package minimize
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -187,43 +189,49 @@ func TestMaxEventsIsErrorNotInfeasible(t *testing.T) {
 }
 
 // TestThroughputMaxEventsIsErrorNotInfeasible is the throughput-check twin
-// of TestMaxEventsIsErrorNotInfeasible: a verification whose self-timed or
-// periodic phase is cut short by MaxEvents must surface as an error, and a
-// search hitting it must leave the shared frontier empty rather than record
-// the assignment as infeasible.
+// of TestMaxEventsIsErrorNotInfeasible: a throughput probe whose run is cut
+// short by MaxEvents — before the constrained task's first start, while the
+// producer fills the buffer, or after it, in the periodic part — must
+// surface as an error, and a search hitting it must leave the shared
+// frontier empty rather than record the assignment as infeasible.
 func TestThroughputMaxEventsIsErrorNotInfeasible(t *testing.T) {
 	g := figure1Graph(t)
 	c := taskgraph.Constraint{Task: "wb", Period: r(3, 1)}
 	workloads := []sim.Workloads{{buf: {Cons: quanta.Constant(3)}}}
 	sized := g.Clone()
 	sized.BufferByName(buf).Capacity = 20
-	full, err := sim.VerifyThroughput(sized, c, sim.VerifyOptions{Firings: 200, Workloads: workloads[0]})
-	if err != nil || !full.OK {
-		t.Fatalf("unguarded verification: %+v, %v", full, err)
+	vf, err := sim.CompileVerifier(sized, c, sim.VerifyOptions{Firings: 200, Workloads: workloads[0]})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The periodic phase also pops one start event per constrained
-	// firing, so a cap of exactly the self-timed event count lets the
-	// first phase complete and cuts the second short.
-	if full.Periodic.Events <= full.SelfTimed.Events {
-		t.Fatalf("periodic phase ran %d events, self-timed %d; need more to cut only the periodic phase",
-			full.Periodic.Events, full.SelfTimed.Events)
+	if ok, err := vf.Feasible(nil); err != nil || !ok {
+		t.Fatalf("unguarded probe: (%v, %v)", ok, err)
 	}
+	// The producer fills the 20-token buffer in six firings before the
+	// consumer is released; the full run takes far more events.
+	full, _, _, _ := vf.LastEffort()
+	if full < 10 {
+		t.Fatalf("unguarded probe ran only %d events", full)
+	}
+	// The run is self-timed up to the constrained task's first start and
+	// periodic after it; cut it once in each part.
 	for _, tc := range []struct {
-		phase     string
-		maxEvents int64
+		part, when string
+		maxEvents  int64
 	}{
-		{"self-timed", 5},
-		{"periodic", full.SelfTimed.Events},
+		{"self-timed", "before", 1},
+		{"periodic", "after", full - 1},
 	} {
-		t.Run(tc.phase, func(t *testing.T) {
+		t.Run(tc.part, func(t *testing.T) {
 			frontier := probecache.NewFrontier([]string{buf})
 			opts := Options{Workers: 1, MaxEvents: tc.maxEvents, Cache: frontier}
 			check := ThroughputCheck(g, c, 200, workloads, opts)
 			ok, err := check(map[string]int64{buf: 20})
 			if err == nil {
-				t.Fatalf("truncated %s phase reported (%v, nil); want an error", tc.phase, ok)
+				t.Fatalf("run cut %s the first start reported (%v, nil); want an error", tc.when, ok)
 			}
-			if !strings.Contains(err.Error(), tc.phase+" phase") ||
+			if !errors.Is(err, sim.ErrLimitExceeded) ||
+				!strings.Contains(err.Error(), tc.when+" the constrained task's first start") ||
 				!strings.Contains(err.Error(), "says nothing about capacity feasibility") {
 				t.Errorf("unexpected error text: %v", err)
 			}
@@ -404,5 +412,76 @@ func TestDeadlockCheckUnknownBuffer(t *testing.T) {
 	})
 	if _, err := check(map[string]int64{"nope": 3}); err == nil {
 		t.Error("unknown buffer accepted")
+	}
+}
+
+// verifyCheck is the two-phase reference ThroughputCheck replaced: a fresh
+// sim.VerifyThroughput per workload on a graph sized to the probe.
+func verifyCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, workloads []sim.Workloads) CheckFunc {
+	return func(caps map[string]int64) (bool, error) {
+		sized := g.Clone()
+		for name, v := range caps {
+			sized.BufferByName(name).Capacity = v
+		}
+		for _, w := range workloads {
+			v, err := sim.VerifyThroughput(sized, c, sim.VerifyOptions{Firings: firings, Workloads: w, LiteResult: true})
+			if err != nil {
+				return false, err
+			}
+			if v.LimitExceeded && !v.OK {
+				return false, fmt.Errorf("reference verification cut short: %s", v.Reason)
+			}
+			if !v.OK {
+				return false, nil
+			}
+		}
+		return true, nil
+	}
+}
+
+// TestThroughputSearchMatchesVerify: a search whose throughput probes run
+// one simulation from quiescence (ThroughputCheck via Feasible) finds the
+// same capacities, with the same number of simulated probes, as one whose
+// probes run Verify's two phases — on sink- and source-constrained graphgen
+// chains, including ones with zero consumption quanta, under uniform and
+// adversarial workloads.
+func TestThroughputSearchMatchesVerify(t *testing.T) {
+	searched := 0
+	for seed := int64(0); seed < 16; seed++ {
+		cfg := graphgen.Defaults(seed + 900)
+		cfg.SourceConstrained = seed%3 == 1
+		cfg.ZeroConsumption = seed%4 == 2
+		g, c, err := graphgen.Random(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs := g.Buffers()
+		buffers := make([]string, 0, len(bufs))
+		upper := make(map[string]int64, len(bufs))
+		for _, b := range bufs {
+			buffers = append(buffers, b.Name)
+			upper[b.Name] = 60
+		}
+		workloads := []sim.Workloads{
+			sim.UniformWorkloads(g, seed),
+			sim.AdversarialWorkloads(g, sim.Adversaries[seed%3]),
+		}
+		const firings = 200
+		ref, rerr := Search(buffers, upper, verifyCheck(g, c, firings, workloads), Options{Workers: 1})
+		got, gerr := Search(buffers, upper, ThroughputCheck(g, c, firings, workloads, Options{Workers: 1, Checkpoints: 4}), Options{Workers: 1})
+		if (rerr == nil) != (gerr == nil) {
+			t.Fatalf("seed %d: reference err %v, ThroughputCheck err %v", seed, rerr, gerr)
+		}
+		if rerr != nil {
+			continue // upper bound infeasible for both
+		}
+		searched++
+		if !reflect.DeepEqual(ref.Caps, got.Caps) || ref.Checks != got.Checks {
+			t.Fatalf("seed %d: Verify-based search %v (%d checks), ThroughputCheck %v (%d checks)",
+				seed, ref.Caps, ref.Checks, got.Caps, got.Checks)
+		}
+	}
+	if searched < 8 {
+		t.Fatalf("only %d of 16 chains were searchable; the comparison is too thin", searched)
 	}
 }

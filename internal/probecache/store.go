@@ -1,6 +1,7 @@
 package probecache
 
 import (
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -31,7 +32,10 @@ var (
 
 // Store is a registry of cache entries keyed by canonical graph
 // fingerprints (GraphKey). A store without a backend lives purely in
-// memory; with one, Entry warm-starts from the backend's payload for the
+// memory and keeps at most MemoryEntries entries resident, evicting the
+// least recently used one: an evicted problem is simply probed cold again,
+// with the same answers. With a backend, Entry warm-starts from the
+// backend's payload for the
 // fingerprint when a trustworthy one exists, and Flush persists every
 // entry back, merging with whatever another replica published in the
 // meantime. Persisted data is advisory — a payload that is unreadable,
@@ -44,15 +48,24 @@ type Store struct {
 	backend cachestore.Backend // nil: memory-only
 	mu      sync.Mutex
 	entries map[string]*Entry
+	// recent orders a memory-only store's entries from most to least
+	// recently used (nil for backed stores, which keep every entry so
+	// Flush can persist it).
+	recent  *list.List
 	loaded  int // payloads absorbed from the backend
 	skipped int // payloads present but untrusted
 }
+
+// MemoryEntries is the resident cap of a memory-only store. A frontier
+// costs a few KB, so the cap bounds a long-running service's verdict
+// memory to tens of MB however many distinct problems it sees.
+const MemoryEntries = 4096
 
 // NewStore returns a store persisting to a directory of JSON files;
 // dir == "" disables the persistence tier.
 func NewStore(dir string) *Store {
 	if dir == "" {
-		return &Store{entries: make(map[string]*Entry)}
+		return NewStoreBackend(nil)
 	}
 	return NewStoreBackend(cachestore.NewDir(dir))
 }
@@ -61,7 +74,11 @@ func NewStore(dir string) *Store {
 // backend — a local directory, process memory, or a Resilient-wrapped
 // remote store shared by a fleet. A nil backend is memory-only.
 func NewStoreBackend(b cachestore.Backend) *Store {
-	return &Store{backend: b, entries: make(map[string]*Entry)}
+	s := &Store{backend: b, entries: make(map[string]*Entry)}
+	if b == nil {
+		s.recent = list.New()
+	}
+	return s
 }
 
 var shared = NewStore("")
@@ -106,6 +123,19 @@ func (s *Store) EntryContext(ctx context.Context, fingerprint string) *Entry {
 	if !ok {
 		e = &Entry{fp: fingerprint, periods: NewPeriods()}
 		s.entries[fingerprint] = e
+	}
+	if s.recent != nil {
+		if ok {
+			s.recent.MoveToFront(e.recent)
+		} else {
+			e.recent = s.recent.PushFront(e)
+			if s.recent.Len() > MemoryEntries {
+				// Callers still holding the evicted entry keep using it;
+				// it is only no longer found by fingerprint.
+				old := s.recent.Remove(s.recent.Back()).(*Entry)
+				delete(s.entries, old.fp)
+			}
+		}
 	}
 	s.mu.Unlock()
 	if s.backend != nil {
@@ -312,7 +342,7 @@ func mergeFiles(ours, theirs diskFile) diskFile {
 
 // StoreStats aggregates a store's cache effectiveness for reporting.
 type StoreStats struct {
-	Entries int   // distinct fingerprints touched
+	Entries int   // distinct fingerprints resident
 	Loaded  int   // payloads warm-started from the backend
 	Skipped int   // payloads present but untrusted (bad version, corrupt, ...)
 	Hits    int64 // lookups answered from cache across all entries
@@ -360,6 +390,7 @@ func (s *Store) Stats() StoreStats {
 // frontier for minimization probes and a period-verdict cache for sweeps.
 type Entry struct {
 	fp       string
+	recent   *list.Element // position in a memory-only store's LRU order
 	loadOnce sync.Once
 	mu       sync.Mutex
 	pending  *frontierSnapshot // loaded from the backend, not yet validated

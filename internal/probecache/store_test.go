@@ -2,11 +2,14 @@ package probecache
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"vrdfcap/internal/cachestore"
 	"vrdfcap/internal/ratio"
 	"vrdfcap/internal/taskgraph"
 )
@@ -430,6 +433,109 @@ func TestFlushSkipsEmptyEntries(t *testing.T) {
 	for _, de := range entries {
 		if strings.HasSuffix(de.Name(), ".json") {
 			t.Errorf("empty entry persisted: %s", de.Name())
+		}
+	}
+}
+
+// TestMemoryStoreBoundedLRU pins the resident cap of memory-only stores:
+// 10,000 distinct problems leave at most MemoryEntries resident, the least
+// recently used go first, and an evicted problem comes back cold.
+func TestMemoryStoreBoundedLRU(t *testing.T) {
+	s := NewStore("")
+	hot := s.Entry("hot")
+	if _, err := hot.Frontier([]string{"b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hot.frontier.Insert(map[string]int64{"b": 5}, true); err != nil {
+		t.Fatal(err)
+	}
+	first := s.Entry("fp-0")
+	for i := 0; i < 10_000; i++ {
+		s.Entry(fmt.Sprintf("fp-%d", i))
+		if i%1000 == 0 {
+			s.Entry("hot") // touched often enough to stay resident
+		}
+	}
+	if n := s.Stats().Entries; n > MemoryEntries {
+		t.Fatalf("%d entries resident, cap %d", n, MemoryEntries)
+	}
+	if s.Entry("hot") != hot {
+		t.Error("a recently used entry was evicted")
+	}
+	again := s.Entry("fp-0")
+	if again == first {
+		t.Fatal("the least recently used entry was never evicted")
+	}
+	f, err := again.Frontier([]string{"b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feas, infeas := f.Size(); feas+infeas != 0 {
+		t.Errorf("re-created entry is not cold: %d/%d verdicts", feas, infeas)
+	}
+}
+
+// TestMemoryStoreKeepsWorkingSet: a working set below the cap — warm-mix's
+// 96 primed problems — stays resident however often it is cycled.
+func TestMemoryStoreKeepsWorkingSet(t *testing.T) {
+	s := NewStore("")
+	entries := make([]*Entry, 96)
+	for i := range entries {
+		entries[i] = s.Entry(fmt.Sprintf("problem-%d", i))
+	}
+	for round := 0; round < 50; round++ {
+		for i := range entries {
+			if s.Entry(fmt.Sprintf("problem-%d", (i*7+round)%96)) != entries[(i*7+round)%96] {
+				t.Fatalf("round %d: problem %d was evicted", round, (i*7+round)%96)
+			}
+		}
+	}
+	if n := s.Stats().Entries; n != 96 {
+		t.Errorf("%d entries resident, want 96", n)
+	}
+}
+
+// TestBackedStoreIsNotCapped: a store with a persistence tier keeps every
+// entry, so Flush persists every verdict it computed.
+func TestBackedStoreIsNotCapped(t *testing.T) {
+	s := NewStoreBackend(cachestore.NewMem())
+	for i := 0; i < MemoryEntries+10; i++ {
+		s.Entry(fmt.Sprintf("fp-%d", i))
+	}
+	if n := s.Stats().Entries; n != MemoryEntries+10 {
+		t.Errorf("%d entries resident, want %d", n, MemoryEntries+10)
+	}
+}
+
+// TestMemoryStoreConcurrentEviction: concurrent lookups that keep evicting
+// leave the store consistent — resident count within the cap, and every
+// resident fingerprint found again as the entry the store holds for it.
+func TestMemoryStoreConcurrentEviction(t *testing.T) {
+	s := NewStore("")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1500; i++ {
+				e := s.Entry(fmt.Sprintf("fp-%d", (i*(g+1))%(MemoryEntries+700)))
+				if _, err := e.Frontier([]string{"b"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.entries) != s.recent.Len() || len(s.entries) > MemoryEntries {
+		t.Fatalf("%d entries mapped, %d in LRU order, cap %d", len(s.entries), s.recent.Len(), MemoryEntries)
+	}
+	for el := s.recent.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*Entry)
+		if s.entries[e.fp] != e {
+			t.Fatalf("LRU order holds %s, the map does not", e.fp)
 		}
 	}
 }

@@ -434,3 +434,35 @@ func TestAccessLog(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestEvictedProblemReansweredFromCold: once a problem has left both the
+// compiled-problem cache and the memory-only verdict store's resident set,
+// a textual variant of it is searched from a cold frontier — simulating
+// again — and its body is byte-identical to the first answer.
+func TestEvictedProblemReansweredFromCold(t *testing.T) {
+	store := probecache.NewStore("")
+	s := newTestServer(t, Config{Store: store, ProblemCacheSize: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	status, first := post(t, ts, "/v1/minimize?firings=200", variant(0))
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, first)
+	}
+	// Another problem pushes the pair out of the one-entry problem
+	// cache; MemoryEntries other fingerprints push it out of the store.
+	if status, body := post(t, ts, "/v1/minimize?firings=200&seed=9", pairDoc); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	for i := 0; i < probecache.MemoryEntries; i++ {
+		store.Entry(fmt.Sprintf("filler-%d", i))
+	}
+	before := s.StatsSnapshot().SimEvents
+	status, again := post(t, ts, "/v1/minimize?firings=200", variant(1))
+	if status != http.StatusOK || !bytes.Equal(again, first) {
+		t.Fatalf("re-answer after eviction: status %d, body drifted:\nfirst: %s\nagain: %s", status, first, again)
+	}
+	if s.StatsSnapshot().SimEvents == before {
+		t.Fatal("the evicted problem was answered without simulating: it was not evicted")
+	}
+}

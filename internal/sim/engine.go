@@ -9,11 +9,13 @@
 // atomically at the finish (the actor's response time later), and firings of
 // one actor never overlap.
 //
-// Each actor runs in one of two modes. ASAP (self-timed) actors start every
-// firing as soon as it is enabled. Periodic actors attempt to start firing k
-// exactly at offset + k·period and the simulation fails with an underrun if
-// the firing is not enabled at that instant — this is how a throughput
-// constraint is checked against concrete buffer capacities.
+// Each actor runs in one of three modes. ASAP (self-timed) actors start
+// every firing as soon as it is enabled. Periodic actors attempt to start
+// firing k exactly at offset + k·period and the simulation fails with an
+// underrun if the firing is not enabled at that instant — this is how a
+// throughput constraint is checked against concrete buffer capacities.
+// PeriodicQuiescent actors are periodic with the offset chosen by the run:
+// firing 0 waits until the rest of the graph can make no more progress.
 //
 // Time is integer ticks derived from an exact rational TimeBase, so
 // simulated schedules are bit-reproducible and free of rounding artefacts.
@@ -47,6 +49,15 @@ const (
 	// Periodic starts firing k exactly at offset + k·period; an
 	// un-enabled firing at its scheduled start is an underrun.
 	Periodic
+	// PeriodicQuiescent is Periodic with the offset resolved by the run
+	// instead of configured: firing 0 is held until the graph is
+	// quiescent — the event calendar is empty and no ASAP actor can
+	// start — at some tick T_q, and firing k is then due at T_q + k·period.
+	// At most one actor per configuration may use it, and its Offset must
+	// be zero. The held phase only ends if every other actor runs out of
+	// work without the held one; a graph where some actor can fire forever
+	// on its own reaches MaxEvents instead.
+	PeriodicQuiescent
 )
 
 // ActorConfig configures one actor's scheduling and execution times.
@@ -55,7 +66,8 @@ type ActorConfig struct {
 	Mode Mode
 	// Offset is the start time of firing 0 in Periodic mode.
 	Offset ratio.Rat
-	// Period is the strict period in Periodic mode; must be positive.
+	// Period is the strict period in Periodic and PeriodicQuiescent mode;
+	// must be positive.
 	Period ratio.Rat
 	// Exec, if non-nil, gives the execution time of firing k; values
 	// must be positive and at most the actor's response time ρ (the
@@ -345,7 +357,7 @@ type actorState struct {
 	rhoTicks    int64
 	exec        func(k int64) ratio.Rat
 	startShift  func(k int64) ratio.Rat
-	offsetT     int64
+	offsetT     int64 // PeriodicQuiescent: the resolved T_q, or unreleased
 	baseOffsetT int64 // compiled offset; Reset reverts SetPeriodicOffsetTicks to it
 	periodT     int64
 	started     int64
@@ -385,6 +397,10 @@ type edgeState struct {
 // the edge, so a token increase of any size keeps failed checks failed
 // (there are none).
 const noShortfall = int64(^uint64(0) >> 1)
+
+// unreleased is the offsetT of a PeriodicQuiescent actor whose firing 0 is
+// still held.
+const unreleased = -1
 
 // sample appends an occupancy sample, merging same-tick updates.
 // sample records the edge's occupancy at the given tick, coalescing
@@ -501,6 +517,7 @@ type Machine struct {
 	events     int64
 	maxEvents  int64
 	stop       *actorState
+	held       *actorState // the PeriodicQuiescent actor, if any
 	bud        *budget.Budget
 	invariants []resolvedInvariant
 	dirty      []int32 // ASAP actors to re-examine at the current tick
@@ -577,8 +594,11 @@ func Compile(cfg Config) (*Machine, error) {
 	for _, a := range g.Actors() {
 		times = append(times, a.Rho)
 		if ac, ok := cfg.Actors[a.Name]; ok {
-			if ac.Mode == Periodic {
+			switch ac.Mode {
+			case Periodic:
 				times = append(times, ac.Offset, ac.Period)
+			case PeriodicQuiescent:
+				times = append(times, ac.Period)
 			}
 		}
 	}
@@ -648,15 +668,26 @@ func Compile(cfg Config) (*Machine, error) {
 			as.mode = ac.Mode
 			as.exec = ac.Exec
 			as.startShift = ac.StartShift
-			if ac.Mode == Periodic {
+			if ac.Mode == Periodic || ac.Mode == PeriodicQuiescent {
 				if ac.Period.Sign() <= 0 {
 					return nil, fmt.Errorf("sim: periodic actor %s needs a positive period, got %v", ga.Name, ac.Period)
 				}
 				if ac.Offset.Sign() < 0 {
 					return nil, fmt.Errorf("sim: periodic actor %s needs a non-negative offset, got %v", ga.Name, ac.Offset)
 				}
-				if as.offsetT, err = base.Ticks(ac.Offset); err != nil {
-					return nil, fmt.Errorf("sim: actor %s offset: %w", ga.Name, err)
+				if ac.Mode == Periodic {
+					if as.offsetT, err = base.Ticks(ac.Offset); err != nil {
+						return nil, fmt.Errorf("sim: actor %s offset: %w", ga.Name, err)
+					}
+				} else {
+					if ac.Offset.Sign() != 0 {
+						return nil, fmt.Errorf("sim: actor %s: PeriodicQuiescent resolves its own offset, got %v", ga.Name, ac.Offset)
+					}
+					if m.held != nil {
+						return nil, fmt.Errorf("sim: actors %s and %s are both PeriodicQuiescent; at most one may be", m.held.name, ga.Name)
+					}
+					m.held = as
+					as.offsetT = unreleased
 				}
 				if as.periodT, err = base.Ticks(ac.Period); err != nil {
 					return nil, fmt.Errorf("sim: actor %s period: %w", ga.Name, err)
@@ -813,6 +844,9 @@ func (m *Machine) resetTokens(initialTokens map[string]int64) error {
 		es.sample(0)
 		m.runTokens[i] = tok
 	}
+	if m.held != nil {
+		m.held.offsetT = unreleased
+	}
 	for _, a := range m.actors {
 		a.started = 0
 		a.finished = 0
@@ -845,6 +879,9 @@ func (m *Machine) SetPeriodicOffsetTicks(actor string, ticks int64) error {
 	a := m.byName[actor]
 	if a == nil {
 		return fmt.Errorf("sim: SetPeriodicOffsetTicks: unknown actor %q", actor)
+	}
+	if a.mode == PeriodicQuiescent {
+		return fmt.Errorf("sim: SetPeriodicOffsetTicks: actor %q resolves its own offset at quiescence", actor)
 	}
 	if a.mode != Periodic {
 		return fmt.Errorf("sim: SetPeriodicOffsetTicks: actor %q is not periodic", actor)
@@ -1060,11 +1097,13 @@ func (m *Machine) Run() (*Result, error) {
 			m.beginCheckpoints()
 		}
 		// Seed periodic actors' first start attempts, and give every ASAP
-		// actor its initial start attempt at tick 0.
+		// actor its initial start attempt at tick 0. A PeriodicQuiescent
+		// actor is seeded by the loop below, once the graph is quiescent.
 		for _, a := range m.actors {
-			if a.mode == Periodic {
+			switch a.mode {
+			case Periodic:
 				m.push(event{tick: a.offsetT, kind: evPeriodicStart, actor: a.idx})
-			} else {
+			case ASAP:
 				m.markDirty(a.idx)
 			}
 		}
@@ -1072,7 +1111,17 @@ func (m *Machine) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-	for len(m.eq) > 0 && m.stop.finished < m.cfg.Stop.Firings {
+	for m.stop.finished < m.cfg.Stop.Firings {
+		if len(m.eq) == 0 {
+			// Quiescent: every same-tick event is drained and startDirty
+			// started nothing. Release the held actor here, making now its
+			// offset; without one nothing can happen any more.
+			if m.held == nil || m.held.offsetT != unreleased {
+				break
+			}
+			m.held.offsetT = now
+			m.push(event{tick: now, kind: evPeriodicStart, actor: m.held.idx})
+		}
 		if m.events >= m.maxEvents {
 			res.Outcome = LimitExceeded
 			m.fill(res, now)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -17,6 +18,10 @@ import (
 // the diagnostics of the last attempt. It is the slow-path oracle of
 // FuzzVerifyOffsetInvariance and must not be "fixed" along with Verify.
 func legacyVerify(vf *Verifier, caps map[string]int64) (*Verification, error) {
+	periodicM, err := vf.machine(&vf.periodic, &vf.pcfg)
+	if err != nil {
+		return nil, err
+	}
 	ov, err := vf.overrides(caps)
 	if err != nil {
 		return nil, err
@@ -47,13 +52,13 @@ func legacyVerify(vf *Verifier, caps map[string]int64) (*Verification, error) {
 		v.Attempts++
 		v.OffsetTicks = ot
 		v.Offset = vf.selfTimed.Base().Rat(ot)
-		if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, ot); err != nil {
+		if err := periodicM.SetPeriodicOffsetTicks(vf.c.Task, ot); err != nil {
 			return nil, err
 		}
-		if _, err := vf.periodic.ResetWarm(ov); err != nil {
+		if _, err := periodicM.ResetWarm(ov); err != nil {
 			return nil, err
 		}
-		periodic, err := vf.periodic.Run()
+		periodic, err := periodicM.Run()
 		if err != nil {
 			return nil, err
 		}
@@ -80,14 +85,34 @@ const (
 	shapeGraphgen = iota
 	shapeFigure1
 	shapeMP3
+	shapeStructural
 	numShapes
 )
 
 // offsetFuzzProblem builds the graph, constraint and horizon of one fuzz
 // input: a graphgen chain (sink- or source-constrained), the paper's
-// Figure-1 pair, or the §5 MP3 chain.
+// Figure-1 pair, the §5 MP3 chain, or a structural-zero chain.
 func offsetFuzzProblem(shape uint8, seed int64, source bool) (*taskgraph.Graph, taskgraph.Constraint, int64, error) {
 	switch shape % numShapes {
+	case shapeStructural:
+		// A sink-constrained graphgen chain whose first buffer may
+		// consume nothing (constrained at the sink, Eq. (4) sizes it).
+		// With source set, the constraint moves to the source: the
+		// consumer of the zero can then fire forever without it, the
+		// structural zero of capacity.Curve, so Feasible must answer
+		// through Verify rather than wait for a quiescence that never
+		// comes.
+		cfg := graphgen.Defaults(seed)
+		cfg.ZeroConsumption = true
+		g, c, err := graphgen.Random(cfg)
+		if err != nil {
+			return nil, c, 0, err
+		}
+		b := g.Buffers()[0]
+		if !b.Cons.ContainsZero() {
+			b.Cons = taskgraph.MustQuanta(append([]int64{0}, b.Cons.Values()...)...)
+		}
+		return g, c, 300, nil
 	case shapeFigure1:
 		g, err := taskgraph.Pair("wa", r(1, 1), "wb", r(1, 1),
 			taskgraph.MustQuanta(3), taskgraph.MustQuanta(2, 3))
@@ -109,15 +134,20 @@ func offsetFuzzProblem(shape uint8, seed int64, source bool) (*taskgraph.Graph, 
 }
 
 // FuzzVerifyOffsetInvariance is the differential oracle of Verify's early
-// exit. Past the dominating offset the periodic phase is a time shift of
-// itself (DESIGN.md §8), so stopping at the first underrun there must not
-// change any verdict: against the full four-offset loop (legacyVerify), on
-// capacities drawn between the necessary bound α̌ and Equation (4), under
-// uniform and adversarial workloads, with and without a fixed candidate
-// offset, Verify must agree on OK. A failing pair must name the same actor,
-// firing, edge and token counts, with start ticks that differ by exactly
-// the offsets' difference; a passing pair, or one whose last legacy attempt
-// was not an underrun, must match attempt for attempt.
+// exit and of Feasible. Past the dominating offset the periodic phase is a
+// time shift of itself (DESIGN.md §8), so stopping at the first underrun
+// there must not change any verdict: against the full four-offset loop
+// (legacyVerify), on capacities drawn between the necessary bound α̌ and
+// Equation (4), under uniform and adversarial workloads, with and without a
+// fixed candidate offset, Verify must agree on OK. A failing pair must name
+// the same actor, firing, edge and token counts, with start ticks that
+// differ by exactly the offsets' difference; a passing pair, or one whose
+// last legacy attempt was not an underrun, must match attempt for attempt.
+//
+// Feasible's single run from quiescence (DESIGN.md §9) must return Verify's
+// OK on the same inputs, and hit the MaxEvents guard exactly when Verify
+// does — including on structural-zero chains, where it has to fall back to
+// Verify to terminate at all.
 func FuzzVerifyOffsetInvariance(f *testing.F) {
 	// §5 MP3 and the Figure-1 pair under every workload family, then
 	// graphgen chains both ways round.
@@ -129,6 +159,9 @@ func FuzzVerifyOffsetInvariance(f *testing.F) {
 	f.Add(uint8(shapeGraphgen), int64(5), int64(3), uint8(1), true, true)
 	f.Add(uint8(shapeGraphgen), int64(10), int64(0), uint8(2), false, true)
 	f.Add(uint8(shapeGraphgen), int64(17), int64(4), uint8(3), true, false)
+	f.Add(uint8(shapeStructural), int64(3), int64(2), uint8(0), true, false)
+	f.Add(uint8(shapeStructural), int64(8), int64(1), uint8(3), true, true)
+	f.Add(uint8(shapeStructural), int64(4), int64(3), uint8(1), false, false)
 	f.Fuzz(func(t *testing.T, shape uint8, seed, capSeed int64, workload uint8, source, fixed bool) {
 		g, c, firings, err := offsetFuzzProblem(shape, seed, source)
 		if err != nil {
@@ -145,6 +178,13 @@ func FuzzVerifyOffsetInvariance(f *testing.F) {
 		eq4, necessary, err := capacity.SearchBounds(res, g)
 		if err != nil {
 			t.Skip()
+		}
+		if shape%numShapes == shapeStructural && source {
+			tasks, _, err := sized.Chain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Task = tasks[0].Name
 		}
 		var w Workloads
 		if adv := int(workload % 4); adv < len(Adversaries) {
@@ -207,6 +247,19 @@ func FuzzVerifyOffsetInvariance(f *testing.F) {
 		}
 		if got.OK != want.OK {
 			t.Fatalf("caps %v: Verify OK=%v (%s), legacy OK=%v (%s)", caps, got.OK, got.Reason, want.OK, want.Reason)
+		}
+		// Feasible runs on the verifier Verify just used, so the machine
+		// switch and the invariant bounds are exercised too.
+		ok, ferr := vf.Feasible(caps)
+		limited := errors.Is(ferr, ErrLimitExceeded)
+		if ferr != nil && !limited {
+			t.Fatalf("caps %v: Feasible: %v", caps, ferr)
+		}
+		if wantLimited := !got.OK && got.LimitExceeded; limited != wantLimited {
+			t.Fatalf("caps %v: Feasible limit-exceeded=%v (%v), Verify %v (%s)", caps, limited, ferr, wantLimited, got.Reason)
+		}
+		if !limited && ok != got.OK {
+			t.Fatalf("caps %v (quiesces=%v): Feasible=%v, Verify OK=%v (%s)", caps, vf.quiesces, ok, got.OK, got.Reason)
 		}
 		if got.OK || want.Underrun == nil {
 			if got.Attempts != want.Attempts || got.OffsetTicks != want.OffsetTicks || got.Reason != want.Reason {

@@ -33,6 +33,7 @@ type actorSnap struct {
 	busyUntil int64
 	readyAt   int64
 	armedFor  int64
+	offsetT   int64
 	startsLen int
 }
 
@@ -126,6 +127,7 @@ func (m *Machine) snapshotInto(s *Snapshot, tick int64, midRun bool) {
 			busyUntil: a.busyUntil,
 			readyAt:   a.readyAt,
 			armedFor:  a.armedFor,
+			offsetT:   a.offsetT,
 			startsLen: len(a.starts),
 		}
 	}
@@ -169,6 +171,12 @@ func (m *Machine) restoreFrom(s *Snapshot) {
 		a.armedFor = sn.armedFor
 		a.starts = a.starts[:sn.startsLen]
 	}
+	if m.held != nil {
+		// A held actor's offset is run state: the T_q the snapshotted
+		// run resolved, or unreleased. Configured offsets are knobs and
+		// stay as set.
+		m.held.offsetT = s.actors[m.held.idx].offsetT
+	}
 	for i, es := range m.edgeList {
 		sn := &s.edges[i]
 		es.tokens = sn.tokens
@@ -210,6 +218,8 @@ func (m *Machine) beginCheckpoints() {
 
 // ckptKeyMatches reports whether the machine's current stop horizon and
 // periodic offsets equal those the retained checkpoints were taken under.
+// A held actor's offset is not a knob but run state, which the checkpoints
+// carry themselves.
 //
 //vrdf:noalloc
 func (m *Machine) ckptKeyMatches() bool {
@@ -217,7 +227,7 @@ func (m *Machine) ckptKeyMatches() bool {
 		return false
 	}
 	for i, a := range m.actors {
-		if a.offsetT != m.ckptOffs[i] {
+		if a != m.held && a.offsetT != m.ckptOffs[i] {
 			return false
 		}
 	}

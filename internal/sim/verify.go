@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -219,12 +220,17 @@ type VerifyOptions struct {
 	Checkpoints int
 }
 
-// Verifier is a compiled throughput verification: both simulation phases —
-// self-timed and strictly periodic — built once and reusable across
-// capacity assignments. Capacity searches compile one Verifier per worker
-// and call Verify with a fresh capacity vector per probe; each probe only
-// resets token counts and counters instead of re-validating and rebuilding
-// the graph.
+// Verifier is a compiled throughput verification, built once and reusable
+// across capacity assignments. Capacity searches compile one Verifier per
+// worker and call Feasible with a fresh capacity vector per probe; each
+// probe only resets token counts and counters instead of re-validating and
+// rebuilding the graph.
+//
+// It holds up to three machines over one configuration: Verify's two
+// phases — self-timed and strictly periodic at a chosen offset — and
+// Feasible's single run with the constrained task in PeriodicQuiescent
+// mode. The periodic and quiescent machines are compiled on first use, so
+// a Verifier only ever pays for the runs its caller makes.
 //
 // A Verifier is not safe for concurrent use.
 type Verifier struct {
@@ -233,8 +239,17 @@ type Verifier struct {
 	mapping     *vrdf.Mapping
 	tg          *taskgraph.Graph
 	selfTimed   *Machine
-	periodic    *Machine
+	periodic    *Machine // compiled on first Verify that reaches it
+	quiescent   *Machine // compiled on first Feasible
+	pcfg, qcfg  Config   // the configurations of periodic and quiescent
 	periodTicks int64
+	// quiesces is set when the graph provably runs dry without the
+	// constrained task (see quiesces), so Feasible may hold its first
+	// start until then; otherwise Feasible answers through Verify.
+	quiesces bool
+	// invariants is set when the machines check buffer invariants, whose
+	// bounds must then follow every probe's capacities.
+	invariants bool
 	// fixedOffsets holds opts.Offsets converted to ticks, tried before
 	// the offsets derived from the self-timed schedule.
 	fixedOffsets []int64
@@ -265,9 +280,11 @@ func (vf *Verifier) noteRun(totalEvents, resumed int64) {
 	}
 }
 
-// CompileVerifier validates the constraint and builds both phases of the
-// throughput check once. The graph must be fully sized; Verify(caps) can
-// override buffer capacities per probe without recompiling.
+// CompileVerifier validates the constraint and the simulation configuration
+// and compiles the self-timed phase; the other machines share its
+// configuration and are compiled on first use. The graph must be fully
+// sized; Verify(caps) and Feasible(caps) can override buffer capacities per
+// probe without recompiling.
 func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOptions) (*Verifier, error) {
 	if err := c.Validate(tg); err != nil {
 		return nil, err
@@ -308,27 +325,19 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		return nil, err
 	}
 
-	pcfg := cfg
-	pcfg.Actors = make(map[string]ActorConfig, len(cfg.Actors)+1)
-	for k, ac := range cfg.Actors {
-		pcfg.Actors[k] = ac
-	}
-	// The offset is repointed per attempt via SetPeriodicOffsetTicks;
-	// compile with the placeholder 0.
+	// The periodic phase differs from the self-timed one only in the
+	// constrained task's mode. Its offset is repointed per attempt via
+	// SetPeriodicOffsetTicks; compile with the placeholder 0, which is
+	// integral, so both phases share one time base by construction.
 	constrained := ActorConfig{Mode: Periodic, Offset: ratio.MustNew(0, 1), Period: c.Period}
 	if prev, ok := cfg.Actors[c.Task]; ok {
 		constrained.Exec = prev.Exec
 	}
-	pcfg.Actors[c.Task] = constrained
-	periodic, err := Compile(pcfg)
-	if err != nil {
-		return nil, err
-	}
-	// Both configs list the same rational times (the placeholder offset
-	// is integral), so the phases share one time base by construction.
-	if selfTimed.Base() != periodic.Base() {
-		return nil, fmt.Errorf("sim: internal error: phase time bases differ (%v vs %v)", selfTimed.Base(), periodic.Base())
-	}
+	pcfg := withActor(cfg, c.Task, constrained)
+	// Feasible's run reports nothing but its outcome.
+	constrained.Mode, constrained.Offset = PeriodicQuiescent, ratio.Rat{}
+	qcfg := withActor(cfg, c.Task, constrained)
+	qcfg.RecordStarts, qcfg.RecordTransfers, qcfg.LiteResult = nil, nil, true
 
 	periodTicks, err := selfTimed.Base().Ticks(c.Period)
 	if err != nil {
@@ -340,8 +349,11 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 		mapping:     mapping,
 		tg:          tg,
 		selfTimed:   selfTimed,
-		periodic:    periodic,
+		pcfg:        pcfg,
+		qcfg:        qcfg,
 		periodTicks: periodTicks,
+		quiesces:    quiesces(cfg.Graph, c.Task),
+		invariants:  cfg.CheckInvariants,
 	}
 	for _, o := range opts.Offsets {
 		t, err := selfTimed.Base().Ticks(o)
@@ -356,11 +368,86 @@ func CompileVerifier(tg *taskgraph.Graph, c taskgraph.Constraint, opts VerifyOpt
 	return vf, nil
 }
 
+// withActor returns cfg with one actor's configuration replaced, leaving
+// cfg's own Actors map untouched.
+func withActor(cfg Config, name string, ac ActorConfig) Config {
+	actors := make(map[string]ActorConfig, len(cfg.Actors)+1)
+	for k, v := range cfg.Actors {
+		actors[k] = v
+	}
+	actors[name] = ac
+	cfg.Actors = actors
+	return cfg
+}
+
+// quiesces reports whether every actor of g other than w fires only
+// finitely often while w does not fire, so a run holding w's first start
+// reaches quiescence. An actor is bounded when one of its input edges has
+// a bounded source (w itself, or an actor already shown bounded) and a
+// consumption quantum of at least one: the edge then receives finitely
+// many tokens and each firing takes one or more. The check is on quanta
+// sets, not sequences, so it is conservative. On a task-graph chain it
+// fails exactly on the structural zeros of capacity.Curve: a zero in the
+// Prod sets of a sink-constrained chain, or in the Cons sets of a
+// source-constrained one.
+func quiesces(g *vrdf.Graph, w string) bool {
+	bounded := map[string]bool{w: true}
+	//vrdf:unbudgeted(each round adds an actor or stops, so at most one round per actor over the edges)
+	for grew := true; grew; {
+		grew = false
+		for _, e := range g.Edges() {
+			if bounded[e.Src] && !bounded[e.Dst] && e.Cons.Min() >= 1 {
+				bounded[e.Dst] = true
+				grew = true
+			}
+		}
+	}
+	return len(bounded) == len(g.Actors())
+}
+
+// machine returns the machine in *slot, compiling cfg into it on first
+// use.
+func (vf *Verifier) machine(slot **Machine, cfg *Config) (*Machine, error) {
+	if *slot == nil {
+		m, err := Compile(*cfg)
+		if err != nil {
+			return nil, err
+		}
+		if m.Base() != vf.selfTimed.Base() {
+			return nil, fmt.Errorf("sim: internal error: phase time bases differ (%v vs %v)", vf.selfTimed.Base(), m.Base())
+		}
+		*slot = m
+	}
+	return *slot, nil
+}
+
 // overrides translates a capacity assignment into the space-edge
-// initial-token overrides of the next runs and repoints the buffer
-// invariants' bounds. Buffers without an entry keep their compiled
-// capacity.
+// initial-token overrides of the next runs. Buffers without an entry keep
+// their compiled capacity. When the machines check buffer invariants, every
+// buffer's bound is repointed to its capacity in this assignment, so a
+// bound lowered or raised by an earlier probe never outlives it.
 func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
+	ov, err := vf.spaceTokens(caps)
+	if err != nil || !vf.invariants {
+		return ov, err
+	}
+	for _, p := range vf.mapping.Pairs {
+		bound := vf.tg.BufferByName(p.Buffer).Capacity
+		if c, ok := ov[p.Space]; ok {
+			bound = c
+		}
+		for _, m := range []*Machine{vf.selfTimed, vf.periodic, vf.quiescent} {
+			if m != nil {
+				m.setInvariantMax("buffer "+p.Buffer, bound)
+			}
+		}
+	}
+	return ov, nil
+}
+
+// spaceTokens validates a capacity assignment and maps it onto the
+// buffers' space edges.
+func (vf *Verifier) spaceTokens(caps map[string]int64) (map[string]int64, error) {
 	if len(caps) == 0 {
 		return nil, nil
 	}
@@ -378,8 +465,6 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 			return nil, fmt.Errorf("sim: Verify: buffer %q has no edge pair", name)
 		}
 		ov[pair.Space] = c
-		vf.selfTimed.setInvariantMax("buffer "+pair.Buffer, c)
-		vf.periodic.setInvariantMax("buffer "+pair.Buffer, c)
 	}
 	return ov, nil
 }
@@ -399,6 +484,11 @@ func (vf *Verifier) overrides(caps map[string]int64) (map[string]int64, error) {
 // first such offset, normally base itself. Deadlocked and LimitExceeded
 // attempts move on to the next offset.
 func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
+	// Compiled before the overrides, which repoint its invariant bounds.
+	periodicM, err := vf.machine(&vf.periodic, &vf.pcfg)
+	if err != nil {
+		return nil, err
+	}
 	ov, err := vf.overrides(caps)
 	if err != nil {
 		return nil, err
@@ -451,14 +541,14 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		v.Offset = vf.selfTimed.Base().Rat(ot)
 
 		//vrdf:reuseok(the override is deliberately committed to the resumed run by ResetWarm below; Verify re-points it on every attempt)
-		if err := vf.periodic.SetPeriodicOffsetTicks(vf.c.Task, ot); err != nil {
+		if err := periodicM.SetPeriodicOffsetTicks(vf.c.Task, ot); err != nil {
 			return nil, err
 		}
-		resumed, err := vf.periodic.ResetWarm(ov)
+		resumed, err := periodicM.ResetWarm(ov)
 		if err != nil {
 			return nil, err
 		}
-		periodic, err := vf.periodic.Run()
+		periodic, err := periodicM.Run()
 		if err != nil {
 			return nil, err
 		}
@@ -483,6 +573,73 @@ func (vf *Verifier) Verify(caps map[string]int64) (*Verification, error) {
 		}
 	}
 	return v, nil
+}
+
+// ErrLimitExceeded marks a Feasible call whose deciding run hit
+// VerifyOptions.MaxEvents: the run was cut short, so it says nothing about
+// the capacities.
+var ErrLimitExceeded = errors.New("sim: run hit the MaxEvents guard")
+
+// Feasible reports whether the capacity assignment sustains the throughput
+// constraint, with the same verdict as Verify(caps).OK, in one simulation
+// instead of two. Caps are interpreted as in Verify.
+//
+// The run holds the constrained task w in PeriodicQuiescent mode: every
+// other task runs ASAP until the graph is quiescent at some tick T_q, and
+// w then fires at T_q + k·τ. Completing the horizon means feasible; an
+// underrun means infeasible. That is Verify's verdict: at any offset past
+// T_q the periodic run is this run shifted in time, and past the
+// dominating offset its outcome no longer depends on the offset (DESIGN.md
+// §8 and §9).
+//
+// A graph some other task can fire forever in without w (a zero quantum
+// on the propagation side, see quiesces) never quiesces; there Feasible
+// answers through Verify. A deciding run cut short by
+// VerifyOptions.MaxEvents is an error wrapping ErrLimitExceeded. LastEffort
+// reports the effort of the call.
+func (vf *Verifier) Feasible(caps map[string]int64) (bool, error) {
+	if !vf.quiesces {
+		v, err := vf.Verify(caps)
+		switch {
+		case err != nil:
+			return false, err
+		case !v.OK && v.LimitExceeded:
+			return false, fmt.Errorf("%w (%s)", ErrLimitExceeded, v.Reason)
+		}
+		return v.OK, nil
+	}
+	m, err := vf.machine(&vf.quiescent, &vf.qcfg)
+	if err != nil {
+		return false, err
+	}
+	ov, err := vf.overrides(caps)
+	if err != nil {
+		return false, err
+	}
+	vf.lastSim, vf.lastResumed, vf.lastWarm, vf.lastCold = 0, 0, 0, 0
+	resumed, err := m.ResetWarm(ov)
+	if err != nil {
+		return false, err
+	}
+	res, err := m.Run()
+	if err != nil {
+		return false, err
+	}
+	vf.noteRun(res.Events, resumed)
+	switch res.Outcome {
+	case Completed:
+		return true, nil
+	case Underrun:
+		return false, nil
+	case LimitExceeded:
+		when := "after"
+		if m.held.offsetT == unreleased {
+			when = "before"
+		}
+		return false, fmt.Errorf("%w (%d events, %s the constrained task's first start)", ErrLimitExceeded, res.Events, when)
+	default:
+		return false, fmt.Errorf("sim: internal error: quiescent run ended %v", res.Outcome)
+	}
 }
 
 // VerifyThroughput checks by simulation that the (sized) task graph can

@@ -12,7 +12,9 @@ import (
 
 // FuzzWarmStartDifferential is the warm-start correctness oracle: across
 // random chains, workloads, checkpoint configurations, capacity-probe
-// sequences and fault injections, a machine that warm-starts between probes
+// sequences, fault injections and sink scheduling modes (ASAP, Periodic,
+// and PeriodicQuiescent, whose resolved offset checkpoints carry), a
+// machine that warm-starts between probes
 // must produce bit-identical Results — outcome, end tick, event count,
 // firing start times, per-edge statistics, underrun and deadlock
 // diagnostics — to a machine that cold-resets before every run. This is the
@@ -25,6 +27,7 @@ func FuzzWarmStartDifferential(f *testing.F) {
 	f.Add(int64(10), int64(0), true)
 	f.Add(int64(12), int64(6), false)
 	f.Add(int64(25), int64(14), true)
+	f.Add(int64(6), int64(5), false)
 	f.Fuzz(func(t *testing.T, seed, capSeed int64, faulty bool) {
 		gcfg := graphgen.Defaults(seed)
 		gcfg.ZeroConsumption = seed%5 == 0
@@ -49,12 +52,19 @@ func FuzzWarmStartDifferential(f *testing.F) {
 		for _, task := range sized.Tasks() {
 			cfg.RecordStarts = append(cfg.RecordStarts, task.Name)
 		}
-		if capSeed%3 == 0 {
+		switch capSeed % 3 {
+		case 0:
 			// Periodic sink variant: lowered capacities can underrun, and
 			// the underrun diagnostics must agree between warm and cold.
 			offset := c.Period.MulInt(int64(len(sized.Tasks())) * 4)
 			cfg.Actors = map[string]ActorConfig{
 				c.Task: {Mode: Periodic, Offset: offset, Period: c.Period},
+			}
+		case 2:
+			// Held sink: the offset is resolved at quiescence, which a
+			// warm start must reproduce from the checkpoint it resumes.
+			cfg.Actors = map[string]ActorConfig{
+				c.Task: {Mode: PeriodicQuiescent, Period: c.Period},
 			}
 		}
 		if faulty {
