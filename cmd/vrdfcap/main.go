@@ -27,8 +27,8 @@
 //	-minimize-firings n  firings per minimization probe (0 = use -firings)
 //	-checkpoints n checkpoints retained per probe machine for warm starts
 //	               during -minimize (0 disables warm-starting; default 8)
-//	-parallel n    worker goroutines for minimisation probes and the
-//	               degradation sweep (0 = GOMAXPROCS)
+//	-parallel n    worker goroutines for the degradation sweep
+//	               (0 = GOMAXPROCS); -minimize probes one capacity at a time
 //	-timeout d     wall-clock budget for simulation-backed steps (0 = none)
 //	-max-events n  cap simulated events per run (0 = engine default)
 //	-jitter q      admissible execution-time jitter in [0,1) for -verify
@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) error {
 	minimizeFlag := fs.Bool("minimize", false, "search the empirically minimal capacities that still satisfy the constraint (simulation-based)")
 	minimizeFirings := fs.Int64("minimize-firings", 0, "firings of the constrained task per minimization probe (0 = use -firings)")
 	checkpointsN := fs.Int("checkpoints", 8, "checkpoints retained per probe machine for warm-started -minimize probes (0 = cold resets only)")
-	parallelN := fs.Int("parallel", 0, "worker goroutines for minimisation probes and the degradation sweep (0 = GOMAXPROCS, 1 = serial)")
+	parallelN := fs.Int("parallel", 0, "worker goroutines for the degradation sweep (0 = GOMAXPROCS, 1 = serial); -minimize probes one capacity at a time")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for simulation-backed steps (0 = unlimited)")
 	maxEvents := fs.Int64("max-events", 0, "cap simulated events per run (0 = engine default)")
 	jitterStr := fs.String("jitter", "", "admissible execution-time jitter fraction in [0, 1) injected during -verify, e.g. 1/2")
@@ -265,7 +265,7 @@ func run(args []string, out io.Writer) error {
 			}
 			mstats := &minimize.ProbeStats{}
 			mopts := minimize.Options{
-				Workers: *parallelN, MaxEvents: *maxEvents, Deadline: deadline,
+				MaxEvents: *maxEvents, Deadline: deadline,
 				Cache: frontier, NoCache: cacheFlags.Disable,
 				Checkpoints: *checkpointsN,
 				Bounds:      &minimize.Bounds{Sufficient: sufficient, Necessary: necessary},
@@ -317,6 +317,9 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			stats.Probes += int64(len(curve.Points))
+			for _, p := range curve.Points {
+				stats.Events += p.Events
+			}
 			fmt.Fprintln(out, "\nfault-injection degradation sweep (overrun stalls every 7th firing of every task):")
 			if err := vrdfcap.WriteDegradation(out, curve); err != nil {
 				return err

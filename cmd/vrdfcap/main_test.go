@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -188,13 +189,22 @@ func TestRunExactCertificate(t *testing.T) {
 	}
 }
 
+// TestRunMinimize pins the -minimize report and its independence of
+// -parallel: a search probes one capacity at a time, so everything but the
+// timing line — capacities, probe counts and simulated events included —
+// is identical at every worker count. Each run gets a fresh in-memory
+// verdict store, so both searches start cold.
 func TestRunMinimize(t *testing.T) {
 	path := writeMP3JSON(t, true)
-	var out bytes.Buffer
-	if err := run([]string{"-minimize", "-firings", "441", "-parallel", "2", "-stats", path}, &out); err != nil {
-		t.Fatal(err)
+	outputs := make(map[string]string)
+	for _, workers := range []string{"1", "2"} {
+		var out bytes.Buffer
+		if err := run([]string{"-minimize", "-firings", "441", "-parallel", workers, "-cache-backend", "mem:", "-stats", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		outputs[workers] = out.String()
 	}
-	text := out.String()
+	text := outputs["2"]
 	wants := []string{
 		"empirically minimal capacities for this workload",
 		"answered by the feasibility cache",
@@ -209,6 +219,21 @@ func TestRunMinimize(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", w, text)
 		}
 	}
+	if serial, par := stripTimings(outputs["1"]), stripTimings(text); serial != par {
+		t.Errorf("-minimize output depends on -parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
+	}
+}
+
+// stripTimings drops the run-stats line, whose wall/CPU times and worker
+// count legitimately vary between runs.
+func stripTimings(s string) string {
+	var kept []string
+	for _, line := range strings.Split(s, "\n") {
+		if !strings.HasPrefix(line, "run stats:") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
 }
 
 // TestRunMinimizeColdCheckpoints pins the -checkpoints 0 escape hatch: warm
@@ -321,6 +346,24 @@ func TestRunDegradationSweep(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("degradation output missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestRunDegradationStatsCountsEvents pins that -stats counts the events the
+// degradation sweep's verifications simulate, not just the points.
+func TestRunDegradationStatsCountsEvents(t *testing.T) {
+	path := writeMP3JSON(t, true)
+	var out bytes.Buffer
+	if err := run([]string{"-degradation", "2", "-firings", "441", "-stats", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`run stats: probes=(\d+) sim_events=(\d+) `).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("stats line missing:\n%s", out.String())
+	}
+	// 1 analysis + 9 sweep points.
+	if m[1] != "10" || m[2] == "0" {
+		t.Errorf("stats line counts probes=%s sim_events=%s, want probes=10 and sim_events>0", m[1], m[2])
 	}
 }
 

@@ -50,7 +50,7 @@ func chaosChain(t testing.TB) (*taskgraph.Graph, []string, map[string]int64) {
 // groundTruth is the cache-less minimum every chaotic run must reproduce.
 func groundTruth(t testing.TB, g *taskgraph.Graph, buffers []string, upper map[string]int64) map[string]int64 {
 	t.Helper()
-	opts := minimize.Options{Workers: 1, NoCache: true}
+	opts := minimize.Options{NoCache: true}
 	res, err := minimize.Search(buffers, upper,
 		minimize.DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, opts), opts)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestChaosSearchMatchesNoCacheUnderFaultSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := minimize.Options{Workers: 1, Cache: frontA}
+			opts := minimize.Options{Cache: frontA}
 			got, err := minimize.Search(buffers, upper,
 				minimize.DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, opts), opts)
 			if err != nil {
@@ -157,7 +157,7 @@ func TestChaosSearchMatchesNoCacheUnderFaultSchedules(t *testing.T) {
 			if err := frontB.SelfCheck(); err != nil {
 				t.Fatalf("frontier loaded from faulty store is not monotone: %v", err)
 			}
-			optsB := minimize.Options{Workers: 1, Cache: frontB}
+			optsB := minimize.Options{Cache: frontB}
 			again, err := minimize.Search(buffers, upper,
 				minimize.DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, optsB), optsB)
 			if err != nil {
@@ -235,7 +235,7 @@ func TestChaosTwoReplicasConcurrentSharedRemote(t *testing.T) {
 	if st.Loaded != 1 || st.Skipped != 0 {
 		t.Fatalf("merged payload was not fully trusted: %+v", st)
 	}
-	opts := minimize.Options{Workers: 1, Cache: frontC}
+	opts := minimize.Options{Cache: frontC}
 	res, err := minimize.Search(buffers, upper,
 		minimize.DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, opts), opts)
 	if err != nil {
@@ -293,7 +293,7 @@ func TestChaosCanceledContextFallsThroughToLocalSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := minimize.Options{Workers: 1, Cache: front}
+	opts := minimize.Options{Cache: front}
 	got, err := minimize.Search(buffers, upper,
 		minimize.DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, opts), opts)
 	if err != nil {

@@ -60,6 +60,9 @@ type DegradationPoint struct {
 	// point (see sim.Verification).
 	Underrun *sim.UnderrunInfo
 	Deadlock *sim.DeadlockInfo
+	// Events counts the events simulated to verify this point, self-timed
+	// and periodic phases together.
+	Events int64
 }
 
 // DegradationCurve is the outcome of a sweep, in the order of
@@ -162,13 +165,20 @@ func Sweep(cfg DegradationConfig) (*DegradationCurve, error) {
 		if err != nil {
 			return DegradationPoint{}, fmt.Errorf("faults: factor %v: %w", factor, err)
 		}
-		return DegradationPoint{
+		p := DegradationPoint{
 			Factor:   factor,
 			OK:       v.OK,
 			Reason:   v.Reason,
 			Underrun: v.Underrun,
 			Deadlock: v.Deadlock,
-		}, nil
+		}
+		if v.SelfTimed != nil {
+			p.Events += v.SelfTimed.Events
+		}
+		if v.Periodic != nil {
+			p.Events += v.Periodic.Events
+		}
+		return p, nil
 	})
 	if err != nil {
 		return nil, budget.Classify(err)

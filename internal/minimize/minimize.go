@@ -9,22 +9,18 @@
 // throughput constraint, quantifying the tightness of Equation (4).
 //
 // Feasibility is monotone in every buffer capacity (more space never hurts,
-// by the monotonicity of VRDF execution), so each buffer admits binary
-// search; chains are minimised by coordinate-descent passes until a
-// fixpoint. Because every feasibility probe is an independent pure
-// simulation, the searches parallelise: per-workload simulations run
-// concurrently inside a check, and the binary searches probe several
-// speculative capacities per round (monotonicity makes the narrowing exact
-// whichever probes come back first). The result of a search is identical
-// for every worker count; only the probe count may differ.
+// by the monotonicity of VRDF execution), so each buffer admits an exact
+// binary search; chains are minimised by coordinate-descent passes until a
+// fixpoint. A search probes one capacity at a time, so its probe sequence
+// and counts are deterministic. Within one probe, the per-workload
+// simulations of a check run concurrently; independent searches may run
+// concurrently too, sharing a CheckFunc and a probecache.Frontier.
 package minimize
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"vrdfcap/internal/budget"
@@ -36,16 +32,18 @@ import (
 
 // CheckFunc reports whether a capacity assignment (buffer name → capacity)
 // is feasible. Implementations must be monotone: if caps is feasible, any
-// pointwise-larger assignment must be too. When a search or check runs with
-// more than one worker, the CheckFunc must additionally be safe for
-// concurrent calls (the checks built by this package are).
+// pointwise-larger assignment must be too. A CheckFunc shared by concurrent
+// searches must additionally be safe for concurrent calls (the checks built
+// by this package are).
 type CheckFunc func(caps map[string]int64) (bool, error)
 
-// Options tunes the parallelism and guards of checks and searches.
+// Options tunes the guards and caches of checks and searches.
 type Options struct {
-	// Workers bounds concurrent simulations and speculative probes: 0
-	// selects GOMAXPROCS, 1 forces the serial path. The outcome is
-	// identical for every setting.
+	// Workers is ignored: a search probes one capacity at a time, and a
+	// check runs its workloads on up to GOMAXPROCS goroutines. It is kept
+	// only because perfbench sets it; the next benchmark change removes it.
+	//
+	// Deprecated: nothing reads Workers.
 	Workers int
 	// MaxEvents caps each simulation run as a runaway guard (0 = engine
 	// default). Hitting the cap is reported as an error, never as
@@ -138,12 +136,13 @@ func feasibleOutcome(res *sim.Result) (bool, error) {
 // lowest-index-first semantics.
 var errInfeasible = errors.New("minimize: workload infeasible")
 
-// allFeasible evaluates one feasibility predicate per workload index on the
-// pool and ANDs the answers. Like the serial loop it replaces, the verdict
-// is decided by the lowest failing index: an infeasible workload there
-// yields (false, nil) even if a higher index would have errored.
-func allFeasible(ctx context.Context, workers, n int, eval func(i int) (bool, error)) (bool, error) {
-	_, err := parallel.Map(ctx, workers, n, func(i int) (struct{}, error) {
+// allFeasible evaluates one feasibility predicate per workload index on up
+// to min(GOMAXPROCS, n) goroutines and ANDs the answers. Like a serial
+// loop, the verdict is decided by the lowest failing index: an infeasible
+// workload there yields (false, nil) even if a higher index would have
+// errored.
+func allFeasible(ctx context.Context, n int, eval func(i int) (bool, error)) (bool, error) {
+	_, err := parallel.Map(ctx, 0, n, func(i int) (struct{}, error) {
 		ok, err := eval(i)
 		if err != nil {
 			return struct{}{}, err
@@ -166,7 +165,7 @@ func allFeasible(ctx context.Context, workers, n int, eval func(i int) (bool, er
 // DeadlockFreeCheck returns a CheckFunc that accepts an assignment when the
 // self-timed execution of the sized graph completes `firings` firings of
 // `task` under every given workload without deadlocking. The per-workload
-// simulations run concurrently on up to Options.Workers goroutines.
+// simulations run concurrently on up to GOMAXPROCS goroutines.
 //
 // Each worker reuses a compiled machine per workload across probes: a probe
 // only resets token counts (the capacity assignment becomes the space
@@ -185,7 +184,7 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 		if err != nil {
 			return false, err
 		}
-		return allFeasible(o.ctx(), o.Workers, len(workloads), func(i int) (bool, error) {
+		return allFeasible(o.ctx(), len(workloads), func(i int) (bool, error) {
 			m, ok := pools[i].get()
 			if !ok {
 				cfg, _, err := sim.TaskGraphConfig(tpl.sized, workloads[i])
@@ -221,7 +220,7 @@ func DeadlockFreeCheck(g *taskgraph.Graph, task string, firings int64, workloads
 // sim.VerifyThroughput succeeds for every given workload, deciding each
 // with sim.Verifier.Feasible: one simulation per workload instead of
 // Verify's two phases, with the same verdict. The per-workload checks run
-// concurrently on up to Options.Workers goroutines. A run cut short by
+// concurrently on up to GOMAXPROCS goroutines. A run cut short by
 // Options.MaxEvents is an error, not an infeasible verdict.
 //
 // Each worker reuses a compiled sim.Verifier per workload across probes,
@@ -237,7 +236,7 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 		if _, err := tpl.overrides(caps); err != nil {
 			return false, err
 		}
-		return allFeasible(o.ctx(), o.Workers, len(workloads), func(i int) (bool, error) {
+		return allFeasible(o.ctx(), len(workloads), func(i int) (bool, error) {
 			vf, ok := pools[i].get()
 			if !ok {
 				var err error
@@ -280,13 +279,11 @@ func ThroughputCheck(g *taskgraph.Graph, c taskgraph.Constraint, firings int64, 
 
 // Result reports the outcome of a search.
 type Result struct {
-	// Caps is the minimal feasible assignment found. It is identical for
-	// every worker count and unaffected by the feasibility cache.
+	// Caps is the minimal feasible assignment found. It is unaffected by
+	// the feasibility cache and the bounds.
 	Caps map[string]int64
 	// Checks counts simulated feasibility evaluations — CheckFunc
-	// invocations, each of which may run several simulations. With more
-	// than one worker, speculative probing may raise the count above the
-	// serial minimum; the assignment found is unaffected.
+	// invocations, each of which may run several simulations.
 	Checks int
 	// CacheHits counts probes answered by the monotone feasibility cache
 	// without invoking the CheckFunc (zero under Options.NoCache).
@@ -314,19 +311,15 @@ func (r *Result) Total() int64 {
 // smallest feasible capacity with the other buffers held at their current
 // values. Because feasibility is monotone, the result of each inner search
 // is exact; passes repeat until no capacity changes, yielding an assignment
-// where no single buffer can shrink further.
+// where no single buffer can shrink further. A check whose answers violate
+// monotonicity is reported as an error when the feasibility cache sees it.
 //
-// With Options.Workers > 1 each binary-search round probes several
-// capacities speculatively and concurrently; monotonicity makes the
-// narrowing exact, so the assignment found is bit-identical to the serial
-// search. A check whose answers violate monotonicity is reported as an
-// error when the probes expose it.
+// A panicking CheckFunc surfaces as a *parallel.PanicError.
 func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...Options) (*Result, error) {
 	if len(buffers) == 0 {
 		return nil, fmt.Errorf("minimize: no buffers to search")
 	}
 	o := optOf(opts)
-	workers := parallel.Workers(o.Workers)
 	// The deadline gets its own derived context so the search stops between
 	// probes even when the CheckFunc ignores budgets.
 	ctx, cancelBudget := o.deadlineCtx()
@@ -339,7 +332,6 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		}
 		cur[b] = u
 	}
-	var checks, cacheHits, boundHits atomic.Int64
 	var cache *probecache.Frontier
 	switch {
 	case o.NoCache:
@@ -352,6 +344,7 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 	default:
 		cache = probecache.NewFrontier(buffers)
 	}
+	res := &Result{Caps: cur}
 	// probe answers dominated assignments from the cache (monotonicity
 	// decides them without simulating) and records every simulated
 	// verdict; cross-pass confirmation probes of the Gauss–Seidel loop —
@@ -368,7 +361,7 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		// frontier error, not a silent wrong answer.
 		if o.Bounds != nil {
 			if feasible, decided := o.Bounds.Decide(caps); decided {
-				boundHits.Add(1)
+				res.BoundHits++
 				if cache != nil {
 					if err := cache.Insert(caps, feasible); err != nil {
 						return false, err
@@ -379,12 +372,12 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		}
 		if cache != nil {
 			if feasible, hit := cache.Lookup(caps); hit {
-				cacheHits.Add(1)
+				res.CacheHits++
 				return feasible, nil
 			}
 		}
-		checks.Add(1)
-		ok, err := check(caps)
+		res.Checks++
+		ok, err := parallel.Call(func(int) (bool, error) { return check(caps) }, 0)
 		if err != nil {
 			return false, budget.Classify(err)
 		}
@@ -395,12 +388,8 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 		}
 		return ok, nil
 	}
-	res := &Result{Caps: cur}
 	ok, err := probe(copyCaps(cur))
 	if err != nil {
-		res.Checks = int(checks.Load())
-		res.CacheHits = int(cacheHits.Load())
-		res.BoundHits = int(boundHits.Load())
 		return nil, err
 	}
 	if !ok {
@@ -413,34 +402,17 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 			// Invariant: hi is feasible, everything below lo is not.
 			lo, hi := int64(1), cur[b]
 			for lo < hi {
-				pts := probePoints(lo, hi, int64(workers))
-				feas, err := parallel.Map(ctx, workers, len(pts), func(j int) (bool, error) {
-					caps := copyCaps(cur)
-					caps[b] = pts[j]
-					return probe(caps)
-				})
+				mid := lo + (hi-lo)/2
+				caps := copyCaps(cur)
+				caps[b] = mid
+				ok, err := probe(caps)
 				if err != nil {
-					res.Checks = int(checks.Load())
-					res.CacheHits = int(cacheHits.Load())
-					res.BoundHits = int(boundHits.Load())
-					return nil, budget.Classify(err)
+					return nil, err
 				}
-				// Monotone narrowing: the largest infeasible probe
-				// raises lo, the smallest feasible probe lowers hi.
-				seenFeasible := false
-				for j, ok := range feas {
-					switch {
-					case ok && !seenFeasible:
-						seenFeasible = true
-						hi = pts[j]
-					case !ok && seenFeasible:
-						res.Checks = int(checks.Load())
-						res.CacheHits = int(cacheHits.Load())
-						res.BoundHits = int(boundHits.Load())
-						return nil, fmt.Errorf("minimize: check is not monotone on buffer %q: capacity %d feasible but %d infeasible", b, hi, pts[j])
-					case !ok:
-						lo = pts[j] + 1
-					}
+				if ok {
+					hi = mid
+				} else {
+					lo = mid + 1
 				}
 			}
 			cur[b] = hi
@@ -453,33 +425,9 @@ func Search(buffers []string, upper map[string]int64, check CheckFunc, opts ...O
 			}
 		}
 		if !shrunk {
-			break
+			return res, nil
 		}
 	}
-	res.Checks = int(checks.Load())
-	res.CacheHits = int(cacheHits.Load())
-	res.BoundHits = int(boundHits.Load())
-	res.Caps = cur
-	return res, nil
-}
-
-// probePoints returns up to k distinct speculative probe capacities that
-// split [lo, hi-1] evenly (hi is already known feasible). With k == 1 this
-// is exactly the classic binary-search midpoint lo + (hi-lo)/2, so the
-// serial path probes the same sequence it always did.
-func probePoints(lo, hi, k int64) []int64 {
-	span := hi - lo
-	if k > span {
-		k = span
-	}
-	out := make([]int64, 0, k)
-	for j := int64(1); j <= k; j++ {
-		// lo + floor(span·j/(k+1)), in 128 bits: span can be any int64.
-		carry, prod := bits.Mul64(uint64(span), uint64(j))
-		q, _ := bits.Div64(carry, prod, uint64(k+1))
-		out = append(out, lo+int64(q))
-	}
-	return out
 }
 
 func copyCaps(m map[string]int64) map[string]int64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"vrdfcap/internal/graphgen"
@@ -224,7 +225,7 @@ func TestThroughputMaxEventsIsErrorNotInfeasible(t *testing.T) {
 	} {
 		t.Run(tc.part, func(t *testing.T) {
 			frontier := probecache.NewFrontier([]string{buf})
-			opts := Options{Workers: 1, MaxEvents: tc.maxEvents, Cache: frontier}
+			opts := Options{MaxEvents: tc.maxEvents, Cache: frontier}
 			check := ThroughputCheck(g, c, 200, workloads, opts)
 			ok, err := check(map[string]int64{buf: 20})
 			if err == nil {
@@ -245,60 +246,93 @@ func TestThroughputMaxEventsIsErrorNotInfeasible(t *testing.T) {
 	}
 }
 
-// TestSearchSerialParallelEquivalence pins the tentpole contract for the
-// minimiser: the speculative parallel search finds bit-identical capacities
-// to the serial binary search — on the paper's Figure 1 pair and on seeded
-// random chains.
+// TestSearchSerialParallelEquivalence pins the concurrency contract of the
+// minimiser: searches running at once over one shared CheckFunc (whose
+// per-workload simulations fan out on their own) and one shared Frontier
+// each find the capacities of a lone serial search — on the paper's
+// Figure 1 pair and on seeded random chains.
 func TestSearchSerialParallelEquivalence(t *testing.T) {
-	run := func(t *testing.T, g *taskgraph.Graph, task string, buffers []string, upper map[string]int64, workloads []sim.Workloads) {
-		t.Helper()
-		serial, err := Search(buffers, upper,
-			DeadlockFreeCheck(g, task, 60, workloads, Options{Workers: 1}), Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("serial: %v", err)
-		}
-		for _, workers := range []int{2, 5, 8} {
-			par, err := Search(buffers, upper,
-				DeadlockFreeCheck(g, task, 60, workloads, Options{Workers: workers}), Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if !reflect.DeepEqual(serial.Caps, par.Caps) {
-				t.Fatalf("workers=%d: caps differ\nserial:   %v\nparallel: %v", workers, serial.Caps, par.Caps)
-			}
-			if par.Passes != serial.Passes {
-				t.Errorf("workers=%d: passes %d, serial %d", workers, par.Passes, serial.Passes)
-			}
-		}
-	}
-
 	t.Run("figure1", func(t *testing.T) {
 		g := figure1Graph(t)
-		run(t, g, "wb", []string{buf}, map[string]int64{buf: 20}, []sim.Workloads{
+		concurrentSearches(t, g, "wb", []string{buf}, map[string]int64{buf: 20}, []sim.Workloads{
 			{buf: {Cons: quanta.Constant(2)}},
 			{buf: {Cons: quanta.Cycle(2, 3)}},
-		})
+		}, Options{})
 	})
 	for seed := int64(0); seed < 4; seed++ {
-		cfg := graphgen.Defaults(seed + 300)
-		g, c, err := graphgen.Random(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bufs := g.Buffers()
-		buffers := make([]string, 0, len(bufs))
-		upper := make(map[string]int64, len(bufs))
-		for _, b := range bufs {
-			buffers = append(buffers, b.Name)
-			upper[b.Name] = 40
-		}
+		g, c, buffers, upper := randomChain(t, seed+300)
 		t.Run("chain", func(t *testing.T) {
-			run(t, g, c.Task, buffers, upper, []sim.Workloads{
+			concurrentSearches(t, g, c.Task, buffers, upper, []sim.Workloads{
 				sim.UniformWorkloads(g, seed),
 				sim.AdversarialWorkloads(g, sim.AdversaryMin),
 				sim.AdversarialWorkloads(g, sim.AdversaryAlternate),
-			})
+			}, Options{})
 		})
+	}
+}
+
+// randomChain returns a seeded graphgen chain, its constraint, its buffer
+// names and an upper bound of 40 on every buffer.
+func randomChain(t *testing.T, seed int64) (*taskgraph.Graph, taskgraph.Constraint, []string, map[string]int64) {
+	t.Helper()
+	g, c, err := graphgen.Random(graphgen.Defaults(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buffers []string
+	upper := make(map[string]int64)
+	for _, b := range g.Buffers() {
+		buffers = append(buffers, b.Name)
+		upper[b.Name] = 40
+	}
+	return g, c, buffers, upper
+}
+
+// concurrentSearches runs the service pattern: four searches at once over
+// one DeadlockFreeCheck and one Frontier, both shared. Each must return the
+// capacities and pass count of a lone serial search with a private cache,
+// and a final search over the now fully warm frontier must simulate
+// nothing. opts configures the shared check (e.g. its checkpoints).
+func concurrentSearches(t *testing.T, g *taskgraph.Graph, task string, buffers []string, upper map[string]int64, workloads []sim.Workloads, opts Options) {
+	t.Helper()
+	want, err := Search(buffers, upper, DeadlockFreeCheck(g, task, 60, workloads, opts))
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	check := DeadlockFreeCheck(g, task, 60, workloads, opts)
+	shared := Options{Cache: probecache.NewFrontier(buffers)}
+	const searches = 4
+	results := make([]*Result, searches)
+	errs := make([]error, searches)
+	var wg sync.WaitGroup
+	for i := range searches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Search(buffers, upper, check, shared)
+		}()
+	}
+	wg.Wait()
+	for i, got := range results {
+		if errs[i] != nil {
+			t.Fatalf("search %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got.Caps, want.Caps) {
+			t.Fatalf("search %d: caps differ\nserial:     %v\nconcurrent: %v", i, want.Caps, got.Caps)
+		}
+		if got.Passes != want.Passes {
+			t.Errorf("search %d: passes %d, serial %d", i, got.Passes, want.Passes)
+		}
+	}
+	final, err := Search(buffers, upper, check, shared)
+	if err != nil {
+		t.Fatalf("final: %v", err)
+	}
+	if !reflect.DeepEqual(final.Caps, want.Caps) {
+		t.Fatalf("final search: caps %v, serial %v", final.Caps, want.Caps)
+	}
+	if final.Checks != 0 {
+		t.Errorf("fully warm search simulated %d probes", final.Checks)
 	}
 }
 
@@ -307,9 +341,9 @@ func TestSearchSerialParallelEquivalence(t *testing.T) {
 // descent re-probe assignments whose verdicts monotonicity already
 // determines (each probe at or below a known-infeasible vector, or at or
 // above a known-feasible one), so the cached search must simulate strictly
-// fewer probes while finding identical capacities. In serial the probe
-// sequence is identical with and without the cache, so simulated plus
-// cache-answered probes add up exactly to the uncached check count.
+// fewer probes while finding identical capacities. The probe sequence is
+// identical with and without the cache, so simulated plus cache-answered
+// probes add up exactly to the uncached check count.
 func TestSearchCacheSubsumesConfirmationProbes(t *testing.T) {
 	g, err := taskgraph.BuildChain(
 		[]taskgraph.Stage{
@@ -327,13 +361,11 @@ func TestSearchCacheSubsumesConfirmationProbes(t *testing.T) {
 	}
 	names := []string{"a->b", "b->c", "c->d"}
 	upper := map[string]int64{"a->b": 50, "b->c": 50, "c->d": 50}
-	serial := Options{Workers: 1}
-	cached, err := Search(names, upper,
-		DeadlockFreeCheck(g, "d", 100, []sim.Workloads{{}}, serial), serial)
+	cached, err := Search(names, upper, DeadlockFreeCheck(g, "d", 100, []sim.Workloads{{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainOpts := Options{Workers: 1, NoCache: true}
+	plainOpts := Options{NoCache: true}
 	plain, err := Search(names, upper,
 		DeadlockFreeCheck(g, "d", 100, []sim.Workloads{{}}, plainOpts), plainOpts)
 	if err != nil {
@@ -355,52 +387,37 @@ func TestSearchCacheSubsumesConfirmationProbes(t *testing.T) {
 		t.Errorf("cache did not reduce simulated probes: %d cached vs %d uncached", cached.Checks, plain.Checks)
 	}
 	if got, want := cached.Checks+cached.CacheHits, plain.Checks; got != want {
-		t.Errorf("serial probe sequence changed: %d simulated + %d cached = %d, want %d",
+		t.Errorf("probe sequence changed: %d simulated + %d cached = %d, want %d",
 			cached.Checks, cached.CacheHits, got, want)
 	}
 }
 
 // TestSearchCacheParityOnRandomChains pins the acceptance contract that the
 // feasibility cache never changes the capacities the search finds — on
-// seeded random chains, serial and parallel.
+// seeded random chains.
 func TestSearchCacheParityOnRandomChains(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		cfg := graphgen.Defaults(seed + 300)
-		g, c, err := graphgen.Random(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bufs := g.Buffers()
-		buffers := make([]string, 0, len(bufs))
-		upper := make(map[string]int64, len(bufs))
-		for _, b := range bufs {
-			buffers = append(buffers, b.Name)
-			upper[b.Name] = 40
-		}
+		g, c, buffers, upper := randomChain(t, seed+300)
 		workloads := []sim.Workloads{
 			sim.UniformWorkloads(g, seed),
 			sim.AdversarialWorkloads(g, sim.AdversaryMin),
 		}
-		for _, workers := range []int{1, 4} {
-			opts := Options{Workers: workers}
-			cached, err := Search(buffers, upper,
-				DeadlockFreeCheck(g, c.Task, 60, workloads, opts), opts)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			opts.NoCache = true
-			plain, err := Search(buffers, upper,
-				DeadlockFreeCheck(g, c.Task, 60, workloads, opts), opts)
-			if err != nil {
-				t.Fatalf("seed %d workers %d (no cache): %v", seed, workers, err)
-			}
-			if !reflect.DeepEqual(cached.Caps, plain.Caps) {
-				t.Fatalf("seed %d workers %d: cache changed the result\ncached:   %v\nuncached: %v",
-					seed, workers, cached.Caps, plain.Caps)
-			}
-			if cached.Passes != plain.Passes {
-				t.Errorf("seed %d workers %d: pass count %d vs %d", seed, workers, cached.Passes, plain.Passes)
-			}
+		cached, err := Search(buffers, upper, DeadlockFreeCheck(g, c.Task, 60, workloads))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		opts := Options{NoCache: true}
+		plain, err := Search(buffers, upper,
+			DeadlockFreeCheck(g, c.Task, 60, workloads, opts), opts)
+		if err != nil {
+			t.Fatalf("seed %d (no cache): %v", seed, err)
+		}
+		if !reflect.DeepEqual(cached.Caps, plain.Caps) {
+			t.Fatalf("seed %d: cache changed the result\ncached:   %v\nuncached: %v",
+				seed, cached.Caps, plain.Caps)
+		}
+		if cached.Passes != plain.Passes {
+			t.Errorf("seed %d: pass count %d vs %d", seed, cached.Passes, plain.Passes)
 		}
 	}
 }
@@ -467,8 +484,8 @@ func TestThroughputSearchMatchesVerify(t *testing.T) {
 			sim.AdversarialWorkloads(g, sim.Adversaries[seed%3]),
 		}
 		const firings = 200
-		ref, rerr := Search(buffers, upper, verifyCheck(g, c, firings, workloads), Options{Workers: 1})
-		got, gerr := Search(buffers, upper, ThroughputCheck(g, c, firings, workloads, Options{Workers: 1, Checkpoints: 4}), Options{Workers: 1})
+		ref, rerr := Search(buffers, upper, verifyCheck(g, c, firings, workloads))
+		got, gerr := Search(buffers, upper, ThroughputCheck(g, c, firings, workloads, Options{Checkpoints: 4}))
 		if (rerr == nil) != (gerr == nil) {
 			t.Fatalf("seed %d: reference err %v, ThroughputCheck err %v", seed, rerr, gerr)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"vrdfcap/internal/graphgen"
 	"vrdfcap/internal/probecache"
 	"vrdfcap/internal/sim"
 	"vrdfcap/internal/taskgraph"
@@ -36,7 +35,7 @@ func sharedCacheChain(t *testing.T) (*taskgraph.Graph, []string, map[string]int6
 func TestSearchWarmSharedCache(t *testing.T) {
 	g, buffers, upper := sharedCacheChain(t)
 	frontier := probecache.NewFrontier(buffers)
-	opts := Options{Workers: 1, Cache: frontier}
+	opts := Options{Cache: frontier}
 	check := DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, opts)
 
 	cold, err := Search(buffers, upper, check, opts)
@@ -61,7 +60,7 @@ func TestSearchWarmSharedCache(t *testing.T) {
 	}
 
 	// And against the no-cache ground truth.
-	plainOpts := Options{Workers: 1, NoCache: true}
+	plainOpts := Options{NoCache: true}
 	plain, err := Search(buffers, upper,
 		DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, plainOpts), plainOpts)
 	if err != nil {
@@ -72,54 +71,15 @@ func TestSearchWarmSharedCache(t *testing.T) {
 	}
 }
 
-// TestSearchSharedCacheSerialParallelParity pins that a shared frontier —
-// even one warmed by a serial search — never changes what a parallel
-// search finds, and vice versa, on seeded random chains.
+// TestSearchSharedCacheSerialParallelParity pins that a shared frontier
+// never changes what concurrent searches find, on seeded random chains
+// whose shared check warm-starts its probe machines from checkpoints: the
+// machine pools are shared by the concurrent searches too.
 func TestSearchSharedCacheSerialParallelParity(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
-		cfg := graphgen.Defaults(seed + 700)
-		g, c, err := graphgen.Random(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buffers []string
-		upper := make(map[string]int64)
-		for _, b := range g.Buffers() {
-			buffers = append(buffers, b.Name)
-			upper[b.Name] = 40
-		}
-		workloads := []sim.Workloads{sim.UniformWorkloads(g, seed)}
-
-		plainOpts := Options{Workers: 1, NoCache: true}
-		want, err := Search(buffers, upper,
-			DeadlockFreeCheck(g, c.Task, 60, workloads, plainOpts), plainOpts)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-
-		frontier := probecache.NewFrontier(buffers)
-		for _, workers := range []int{1, 4, 1} {
-			opts := Options{Workers: workers, Cache: frontier}
-			got, err := Search(buffers, upper,
-				DeadlockFreeCheck(g, c.Task, 60, workloads, opts), opts)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if !reflect.DeepEqual(got.Caps, want.Caps) {
-				t.Fatalf("seed %d workers %d: shared cache changed the result\ngot:  %v\nwant: %v",
-					seed, workers, got.Caps, want.Caps)
-			}
-		}
-		// After serial and parallel searches warmed it, a final run is
-		// answered entirely by the frontier.
-		final, err := Search(buffers, upper,
-			DeadlockFreeCheck(g, c.Task, 60, workloads), Options{Workers: 2, Cache: frontier})
-		if err != nil {
-			t.Fatalf("seed %d final: %v", seed, err)
-		}
-		if final.Checks != 0 {
-			t.Errorf("seed %d: fully warmed search simulated %d probes", seed, final.Checks)
-		}
+		g, c, buffers, upper := randomChain(t, seed+700)
+		concurrentSearches(t, g, c.Task, buffers, upper,
+			[]sim.Workloads{sim.UniformWorkloads(g, seed)}, Options{Checkpoints: 8})
 	}
 }
 
@@ -139,12 +99,12 @@ func TestSearchSharedCacheOrderMismatch(t *testing.T) {
 func TestSearchNoCacheWinsOverCache(t *testing.T) {
 	g, buffers, upper := sharedCacheChain(t)
 	frontier := probecache.NewFrontier(buffers)
-	warmOpts := Options{Workers: 1, Cache: frontier}
+	warmOpts := Options{Cache: frontier}
 	if _, err := Search(buffers, upper,
 		DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, warmOpts), warmOpts); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Workers: 1, Cache: frontier, NoCache: true}
+	opts := Options{Cache: frontier, NoCache: true}
 	res, err := Search(buffers, upper,
 		DeadlockFreeCheck(g, "c", 80, []sim.Workloads{{}}, opts), opts)
 	if err != nil {

@@ -42,8 +42,8 @@ import (
 // infeasible one) can only come from a non-monotone check and is reported
 // as an error, preserving the caller's non-monotone-check semantics.
 //
-// Safe for concurrent use; speculative parallel probes and concurrent
-// searches may share one Frontier.
+// Safe for concurrent use; concurrent searches of one problem (the
+// requests of a service) may share one Frontier.
 type Frontier struct {
 	keys       []string // buffer order of the vectors
 	mu         sync.Mutex

@@ -72,10 +72,6 @@ type Config struct {
 	// RequestTimeout is the wall-clock budget per computation, enforced
 	// through internal/budget (0: 30s; negative: unlimited).
 	RequestTimeout time.Duration
-	// SearchWorkers is the parallelism inside one search or degradation
-	// curve (≤0: 1; cross-request parallelism comes from Workers). Sweeps
-	// evaluate the closed form serially.
-	SearchWorkers int
 	// Firings is the default simulation horizon for minimize and
 	// degradation requests (≤0: 1000); MaxFirings caps the per-request
 	// override (≤0: 200000).
@@ -130,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.SearchWorkers <= 0 {
-		c.SearchWorkers = 1
 	}
 	if c.Firings <= 0 {
 		c.Firings = 1000
@@ -602,13 +595,15 @@ func (s *Server) buildSpec(pathID int32, g *taskgraph.Graph, con *taskgraph.Cons
 			fmt.Sprintf("seed=%d", seed),
 		)
 		return &jobSpec{key: key, run: func(ctx context.Context, deadline time.Time) (any, error) {
+			// One point at a time: cross-request parallelism comes from
+			// Config.Workers.
 			curve, err := faults.Sweep(faults.DegradationConfig{
 				Graph:      sized,
 				Constraint: *con,
 				Factors:    faults.FactorRange(ratio.FromInt(1), maxFactor, degradationPoints),
 				Seed:       uint64(seed),
 				Firings:    firings,
-				Workers:    s.cfg.SearchWorkers,
+				Workers:    1,
 				Context:    ctx,
 				Deadline:   deadline,
 			})
@@ -645,7 +640,6 @@ func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp string,
 		}
 		check := minimize.ThroughputCheck(g, *con, firings,
 			[]sim.Workloads{sim.UniformWorkloads(sized, seed)}, minimize.Options{
-				Workers:     s.cfg.SearchWorkers,
 				MaxEvents:   s.cfg.MaxEvents,
 				Checkpoints: s.cfg.Checkpoints,
 				Stats:       &s.stats.probes,
@@ -660,7 +654,6 @@ func (s *Server) runMinimize(ctx context.Context, deadline time.Time, fp string,
 		s.problems.put(fp, prob)
 	}
 	mres, err := minimize.Search(prob.buffers, prob.upper, prob.check, minimize.Options{
-		Workers:  s.cfg.SearchWorkers,
 		Context:  ctx,
 		Deadline: deadline,
 		Cache:    prob.frontier,
